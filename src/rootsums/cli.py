@@ -13,6 +13,7 @@ cross-route disagreement (never expected).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -21,7 +22,12 @@ from typing import Sequence
 
 from .scalar import ExactScalar
 from .polynomial import Polynomial, from_signed, poly_from_roots, to_signed
-from .newton import coeffs_from_power_sums, negative_power_sums, power_sums_from_coeffs
+from .newton import (
+    InternalError,
+    coeffs_from_power_sums,
+    negative_power_sums,
+    power_sums_from_coeffs,
+)
 from .series import DescendingSeries, cross_multiplied_check, log_derivative_power_sums
 from .roots import power_sums_direct, truncation_report, verify_by_substitution
 from .parser import ParseError, parse_polynomial, parse_rational_list
@@ -211,7 +217,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     )
 
-    cross = cross_multiplied_check(poly, args.k)
+    cross = cross_multiplied_check(
+        poly, args.k, series=DescendingSeries(-1, tuple(series_sums))
+    )
     bad = cross.first_nonzero()
     checks.append(
         _check(
@@ -359,6 +367,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int-to-str digit limit while a command runs.
+
+    Exact results legitimately grow past the default 4,300 digits and
+    must still print. The limit guards int() against huge strings, and
+    no such string reaches int() here: argparse converts the integer
+    options before the limit is lifted, and the parser refuses longer
+    literals before converting them.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="rootsums",
@@ -426,7 +455,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        with _unlimited_int_digits():
+            return args.handler(args)
     except _CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
@@ -436,6 +466,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MATH
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -17,25 +17,40 @@ signed coefficients (a_i is the i-th elementary symmetric function):
   (the full window of n previous sums, no bare term).
 
 At k = n the two coincide because p_0 = n turns a_n*p_0 into n*a_n;
-``power_sums_from_coeffs`` evaluates both there and asserts it rather
-than trusting it.
+``power_sums_from_coeffs`` evaluates both there and raises
+:class:`InternalError` if they differ rather than trusting it.
+
+The recurrence runs on plain ``int``. It clears denominators once: with
+L the lcm of the denominators of the a_i, the substitution x -> x/L
+turns the polynomial into the monic integer polynomial with signed
+coefficients L^i*a_i, whose roots are L times the original roots. Its
+power sums P_k are integers, and p_k = P_k / L^k is built as a reduced
+``Fraction`` only on the way out. The direct summation over roots and
+the substitution checks in :mod:`rootsums.roots` stay on unscaled
+``Fraction`` arithmetic, an oracle independent of that scaling.
 """
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
 
-from .scalar import ZERO, ExactScalar
+from .scalar import ExactScalar
 from .polynomial import SignedCoefficients, from_signed, reciprocal_poly, to_signed
 
 
-def _window(values: Sequence[ExactScalar], sums: Sequence[ExactScalar], k: int, width: int) -> ExactScalar:
-    """Alternating sum a_1*p_(k-1) - a_2*p_(k-2) + ... over i = 1..width."""
-    acc = ZERO
-    for i in range(1, width + 1):
-        term = values[i - 1] * sums[k - i]
-        acc = acc + term if i % 2 == 1 else acc - term
-    return acc
+class InternalError(RuntimeError):
+    """A self-check inside a kernel failed; never expected on correct code."""
+
+
+def _window(weights: Sequence, sums: Sequence, k: int, width: int):
+    """weights[0]*sums[k-1] + weights[1]*sums[k-2] + ... over ``width`` terms.
+
+    The weights carry the alternating signs: weights[i-1] = (-1)^(i-1)*a_i.
+    Works on ints and on Fractions alike.
+    """
+    return sum(map(mul, weights[:width], reversed(sums[k - width : k])))
 
 
 def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[ExactScalar]:
@@ -47,21 +62,29 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Exact
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     n = signed.degree
-    sums: list[ExactScalar] = [ExactScalar(n)]
+    scale = math.lcm(*(a.denominator for a in signed.values))
+    # weights[i-1] = (-1)^(i-1) * L^i * a_i, an integer since den(a_i) divides L.
+    weights = [
+        (a.numerator if i % 2 else -a.numerator) * (scale // a.denominator) * scale ** (i - 1)
+        for i, a in enumerate(signed.values, start=1)
+    ]
+    sums = [n]
     for k in range(1, k_max + 1):
         if k <= n:
-            tail = k * signed.values[k - 1]
-            value = _window(signed.values, sums, k, k - 1)
-            value = value + tail if k % 2 == 1 else value - tail
-            if k == n:
-                # Regime boundary: the full window must give the same number.
-                assert value == _window(signed.values, sums, k, n), (
-                    "short and full-window recurrences disagree at k == n"
-                )
+            value = _window(weights, sums, k, k - 1) + k * weights[k - 1]
+            if k == n and value != _window(weights, sums, k, n):
+                raise InternalError("short and full-window recurrences disagree at k == n")
         else:
-            value = _window(signed.values, sums, k, n)
+            value = _window(weights, sums, k, n)
         sums.append(value)
-    return sums
+    if scale == 1:
+        return [ExactScalar(v) for v in sums]
+    out = []
+    power = 1
+    for v in sums:
+        out.append(ExactScalar(v, power))
+        power *= scale
+    return out
 
 
 def coeffs_from_power_sums(power_sums: Sequence[ExactScalar], degree: int) -> SignedCoefficients:
@@ -84,10 +107,10 @@ def coeffs_from_power_sums(power_sums: Sequence[ExactScalar], degree: int) -> Si
     sums = [ExactScalar(v) for v in power_sums[: degree + 1]]
     if sums[0] != degree:
         raise ValueError(f"p_0 is {sums[0]} but must equal the degree {degree}")
-    values: list[ExactScalar] = []
+    weights: list[ExactScalar] = []  # (-1)^(k-1) * a_k
     for k in range(1, degree + 1):
-        acc = sums[k] - _window(values, sums, k, k - 1)
-        values.append(acc / k if k % 2 == 1 else -acc / k)
+        weights.append((sums[k] - _window(weights, sums, k, k - 1)) / k)
+    values = (w if k % 2 else -w for k, w in enumerate(weights, start=1))
     return SignedCoefficients(degree, tuple(values))
 
 

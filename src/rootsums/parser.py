@@ -15,7 +15,8 @@ minus is allowed at the head and after an operator, but "--" never is.
 
 Every failure raises :class:`ParseError` carrying a diagnostic with the
 offset of the offending character; parsing never raises anything else,
-whatever bytes come in.
+whatever bytes come in. That includes integers longer than
+``MAX_DIGITS``, which are refused before conversion.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .polynomial import Polynomial
 # Exponents are capped so a hostile input cannot demand a gigantic dense
 # coefficient table; well above any degree this tool is used at.
 MAX_EXPONENT = 10_000
+
+# Integer tokens are refused past CPython's default int-string limit, so
+# no input string longer than that ever reaches int() (whose cost is
+# quadratic in the length), whatever limit the interpreter has set.
+MAX_DIGITS = 4300
 
 _DIGITS = "0123456789"
 _OPERATORS = {"+": "plus", "-": "minus", "^": "caret", "/": "slash", ",": "comma"}
@@ -87,6 +93,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i + 1
             while j < size and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                _fail(i, f"integer has more than {MAX_DIGITS} digits")
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue

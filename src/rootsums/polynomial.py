@@ -27,9 +27,9 @@ from .scalar import ONE, ZERO, ExactScalar
 RootMultiset = Sequence[ExactScalar]
 
 
-@dataclass(init=False, eq=True)
+@dataclass(frozen=True, init=False)
 class Polynomial:
-    """A univariate polynomial with ExactScalar coefficients.
+    """A univariate polynomial with ExactScalar coefficients; immutable and hashable.
 
     >>> str(Polynomial([2, -3, 1]))
     'x^2 - 3x + 2'
@@ -43,7 +43,7 @@ class Polynomial:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        self.coefficients = tuple(coeffs)
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
     def degree(self) -> int:

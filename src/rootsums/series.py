@@ -14,11 +14,20 @@ recurrences in :mod:`rootsums.newton` and serves as their cross-check.
 Series support here is only what the expansion needs: truncated division
 in descending powers and truncated multiplication by a polynomial. There
 is no general series ring.
+
+The division clears denominators once (x -> x/L, see
+:func:`divide_descending`) and runs in plain ``int``; the series it
+returns holds reduced ``Fraction`` coefficients. It computes its own L,
+sharing no code with the recurrence. Multiplying the series back by p
+in :func:`cross_multiplied_check` stays on unscaled ``Fraction``
+arithmetic, so that check does not rely on the scaling it verifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import sub
 
 from .scalar import ZERO, ExactScalar
 from .polynomial import Polynomial
@@ -85,6 +94,13 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     series coefficients off the quotient (quotient exponent order - j
     carries c_j). Requires deg(numerator) < deg(denominator) so the
     expansion starts at 1/x or lower.
+
+    The division runs on plain ``int``. Both polynomials are first
+    divided by the denominator's leading coefficient; with L the lcm of
+    all remaining denominators and n = deg(denominator), substituting
+    x -> x/L and multiplying through by L^n gives a monic integer
+    denominator Q(x) and an integer numerator N'(x). Their quotient
+    series has integer coefficients C_j, and c_j = C_j / L^j.
     """
     if denominator.is_zero:
         raise ZeroDivisionError("series division by the zero polynomial")
@@ -94,21 +110,38 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
         raise ValueError(
             "numerator degree must be strictly below denominator degree"
         )
-    den = denominator.coefficients
     width = denominator.degree
-    lead = den[-1]
-    work = [ZERO] * order + list(numerator.coefficients)
-    quotient = [ZERO] * order
+    lead = denominator.leading_coefficient
+    den = [d / lead for d in denominator.coefficients[:-1]]
+    num = [c / lead for c in numerator.coefficients]
+    scale = math.lcm(*(c.denominator for c in den + num))
+
+    def scaled(coeffs):
+        # Coefficient i of Q or N' is L^(n-i) times the monic one; every
+        # i here is below n, so each is an integer.
+        return [
+            c.numerator * (scale // c.denominator) * scale ** (width - 1 - i)
+            for i, c in enumerate(coeffs)
+        ]
+
+    low = scaled(den)
+    work = [0] * order + scaled(num)
+    quotient = [0] * order
     for exp in range(len(work) - 1, width - 1, -1):
         top = work[exp]
         if top == 0:
             continue
-        factor = top / lead
         shift = exp - width
-        quotient[shift] = factor
-        for i, d in enumerate(den):
-            work[shift + i] -= factor * d
-    return DescendingSeries(-1, tuple(reversed(quotient)))
+        quotient[shift] = top
+        work[shift:exp] = map(sub, work[shift:exp], map(top.__mul__, low))
+    if scale == 1:
+        return DescendingSeries(-1, tuple(reversed(quotient)))
+    terms = []
+    power = 1
+    for c in reversed(quotient):
+        power *= scale
+        terms.append(ExactScalar(c, power))
+    return DescendingSeries(-1, tuple(terms))
 
 
 def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[ExactScalar]:

@@ -180,9 +180,16 @@ def test_criterion_8_parser_round_trip_and_fuzz():
         assert parse_polynomial(str(poly)) == poly
 
     grammar_alphabet = "0123456789xXy+-^/ ,.$()*"
+    # Long digit runs straddle the 4,300-digit integer limit.
+    long_tokens = ["x", "^", "+", "-", "/", " ", "0", "7"]
     fuzz_count = 100_000
     for i in range(fuzz_count):
-        if i % 2 == 0:
+        if i % 1000 == 1:
+            raw = "".join(
+                "9" * rng.randint(4295, 4305) if rng.random() < 0.3 else rng.choice(long_tokens)
+                for _ in range(rng.randint(1, 6))
+            )
+        elif i % 2 == 0:
             raw = rng.randbytes(rng.randint(0, 12)).decode("latin-1")
         else:
             raw = "".join(

@@ -270,3 +270,83 @@ def test_negative_first_root_after_option_terminator(capsys):
     code, out, _ = run(capsys, "from-roots", "--k", "2", "--", "-1,-2")
     assert code == 0
     assert out.splitlines()[0] == "x^2 + 3x + 2"
+
+
+def test_regime_boundary_disagreement_exits_three(capsys, monkeypatch):
+    # Fake a full window that disagrees with the short regime at k == n.
+    import rootsums.newton as newton
+
+    window = newton._window
+    monkeypatch.setattr(
+        newton,
+        "_window",
+        lambda w, s, k, width: window(w, s, k, width) + (width == 3),
+    )
+    code, out, err = run(capsys, "powersums", "x^3 - 2x + 1", "--k", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
+    # verify hands its one series to the cross-multiplied check, so a bad
+    # term must fail both coefficient-only checks.
+    import rootsums.cli as cli
+
+    expand = cli.log_derivative_power_sums
+
+    def corrupted(p, k):
+        sums = expand(p, k)
+        sums[2] += 1
+        return sums
+
+    monkeypatch.setattr(cli, "log_derivative_power_sums", corrupted)
+    code, payload, _ = run_json(capsys, "verify", "x^2 - 3x + 2", "--k", "6")
+    assert code == 2
+    by_name = {c["name"]: c["pass"] for c in payload["checks"]}
+    assert by_name == {
+        "recurrence-series agreement": False,
+        "cross-multiplied identity": False,
+    }
+
+
+def test_overlong_literal_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "powersums", "1" * 4301 + "x + 1", "--k", "1")
+    assert (code, out) == (1, "")
+    assert "more than 4300 digits" in err
+
+
+def test_overlong_exponent_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "powersums", "x^" + "0" * 4300 + "2", "--k", "1")
+    assert (code, out) == (1, "")
+    assert "more than 4300 digits" in err
+
+
+def test_overlong_root_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "from-roots", "1/" + "3" * 4301, "--k", "1")
+    assert (code, out) == (1, "")
+    assert "more than 4300 digits" in err
+
+
+def test_results_past_the_int_digit_limit_print(capsys):
+    import sys
+
+    # p_k = 3*p_(k-1) - p_(k-2) from p_0 = 2, p_1 = 3; p_12000 has ~5,000 digits.
+    a, b = 2, 3
+    for _ in range(11999):
+        a, b = b, 3 * b - a
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+
+    code, out, _ = run(capsys, "powersums", "x^2 - 3x + 1", "--k", "12000")
+    assert code == 0
+    assert out.splitlines()[-1].split("= ")[1].strip() == expected
+    code, payload, _ = run_json(capsys, "powersums", "x^2 - 3x + 1", "--k", "12000")
+    assert code == 0
+    assert payload["power_sums"][-1] == expected
+    assert sys.get_int_max_str_digits() == limit

@@ -112,6 +112,28 @@ def test_boundary_short_equals_full_window(s):
     assert short == full == sums[n]
 
 
+def test_regime_boundary_check_survives_optimize_flag():
+    # Under -O an assert would vanish; the boundary check must still raise.
+    import subprocess
+    import sys
+
+    script = """
+import rootsums.newton as newton
+from rootsums import SignedCoefficients
+window = newton._window
+newton._window = lambda w, s, k, width: window(w, s, k, width) + (width == 2)
+try:
+    newton.power_sums_from_coeffs(SignedCoefficients(2, (3, 2)), 4)
+except newton.InternalError:
+    print("raised")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
+
+
 def test_truncation_invariant():
     s = to_signed(poly_from_roots([1, 2, 3, F(1, 2), -4]))
     full = power_sums_from_coeffs(s, 5)

@@ -70,6 +70,17 @@ def test_oversized_exponent_rejected():
     assert "maximum" in diag.message
 
 
+def test_integer_digit_limit():
+    assert parse_polynomial("9" * 4300 + "x") == Polynomial([0, int("9" * 4300)])
+    diag = diagnostic_of(parse_polynomial, "x + " + "9" * 4301)
+    assert diag.offset == 4
+    assert "4300 digits" in diag.message
+    diag = diagnostic_of(parse_polynomial, "x^" + "1" * 4301)
+    assert diag.offset == 2
+    diag = diagnostic_of(parse_rational_list, "1, 2/" + "7" * 4301)
+    assert diag.offset == 5
+
+
 def test_unexpected_character():
     diag = diagnostic_of(parse_polynomial, "x^2 + $")
     assert diag.offset == 6

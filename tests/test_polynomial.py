@@ -1,5 +1,6 @@
 """Polynomial storage, conversions, and root-product construction."""
 
+import dataclasses
 import itertools
 import math
 
@@ -162,3 +163,11 @@ def test_rendering():
     assert str(Polynomial([0, 1])) == "x"
     assert str(Polynomial([0, -1])) == "-x"
     assert str(Polynomial([7])) == "7"
+
+
+def test_polynomial_is_frozen_and_hashable():
+    p = Polynomial([2, -3, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.coefficients = (F(1),)
+    assert p.coefficients == (2, -3, 1)
+    assert hash(p) == hash(Polynomial([2, -3, 1, 0]))
