@@ -206,6 +206,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.poly)
     checks: list[dict] = []
     details: dict[str, list[str]] = {}
+    if args.roots is not None:
+        roots = parse_rational_list(args.roots)
+        _require(
+            args.k >= poly.degree,
+            "--k must be at least the polynomial degree when --roots is given",
+        )
 
     recurrence = power_sums_from_coeffs(to_signed(poly), args.k)
     series_sums = log_derivative_power_sums(poly, args.k)
@@ -230,11 +236,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     if args.roots is not None:
-        roots = parse_rational_list(args.roots)
-        _require(
-            args.k >= poly.degree,
-            "--k must be at least the polynomial degree when --roots is given",
-        )
         substitution = verify_by_substitution(poly, roots, args.k)
         bad_root = next(
             ((r, v) for r, v in substitution.root_residuals if v != 0), None

@@ -350,3 +350,19 @@ def test_results_past_the_int_digit_limit_print(capsys):
     assert code == 0
     assert payload["power_sums"][-1] == expected
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
+    import rootsums.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("a route ran before --roots was checked")
+
+    monkeypatch.setattr(cli, "power_sums_from_coeffs", must_not_run)
+    poly = "x^8 - 3x^7 + 2x^5 - x^4 + 7x^3 - 2x + 5"
+    code, out, err = run(capsys, "verify", poly, "--roots", "1,", "--k", "3000")
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: offset 2")
+    code, out, err = run(capsys, "verify", "x^2 - 1", "--roots", "1,-1", "--k", "1")
+    assert (code, out) == (1, "")
+    assert "at least the polynomial degree" in err
