@@ -12,10 +12,13 @@ powers of its roots can be computed without ever finding a root:
   (:func:`power_sums_direct`).
 
 All arithmetic is exact rational, so the three routes must agree to the
-last bit; each one is a working cross-check of the others.
+last bit; each one is a working cross-check of the others. Every value
+is a ``fractions.Fraction``, always reduced, so equal values are equal
+under ``==``; ``ExactScalar`` and ``as_scalar`` are names for that type.
 """
 
-from .scalar import ExactScalar, as_scalar
+from fractions import Fraction as ExactScalar
+
 from .polynomial import (
     Polynomial,
     RootMultiset,
@@ -54,6 +57,8 @@ from .parser import (
     parse_polynomial,
     parse_rational_list,
 )
+
+as_scalar = ExactScalar
 
 __version__ = "0.1.0"
 

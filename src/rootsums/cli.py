@@ -1,26 +1,31 @@
 """Command-line surface.
 
 Subcommands: powersums, coeffs, series, from-roots, verify, truncate,
-negpowers, bench. Human-readable tables by default; ``--json`` switches
-to a machine format in which every rational is a "num/den" string (JSON
-numbers would be lossy).
+negpowers, bench. Each command builds one payload; ``--json`` prints it
+as a JSON object in which every rational is a "num/den" string (JSON
+numbers would be lossy), otherwise it is rendered as a human-readable
+table.
 
-Exit codes: 0 success / everything verified, 1 usage or parse error,
-2 mathematical domain error or failed verification, 3 internal
-cross-route disagreement (never expected).
+Exit codes: 1 usage or parse error, 2 mathematical domain error,
+3 internal cross-route disagreement (never expected). Otherwise the
+exit code comes from the payload's ``checks``: 2 if any verification
+check failed, 0 if all passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import random
 import sys
 import time
-from typing import Sequence
+from fractions import Fraction
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import Callable, Sequence
 
-from .scalar import ExactScalar
 from .polynomial import Polynomial, from_signed, poly_from_roots, to_signed
 from .newton import (
     InternalError,
@@ -55,17 +60,18 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 """
 
 
-class _CommandError(Exception):
-    """Carries an exit code alongside the message."""
+# What a command returns: its payload (the --json object, every rational
+# already a "num/den" string) and the function that renders it as text.
+_Result = tuple[dict, Callable[[dict], str]]
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+
+class _UsageError(Exception):
+    """An option value out of range; exits with EXIT_USAGE."""
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise _CommandError(EXIT_USAGE, message)
+        raise _UsageError(message)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -76,76 +82,59 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _check(name: str, passed: bool, residual: str | None) -> dict:
-    return {"name": name, "pass": passed, "residual": None if passed else residual}
+def _check(name: str, residual: str | None) -> dict:
+    """A check passes exactly when it has no residual to report."""
+    return {"name": name, "pass": residual is None, "residual": residual}
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _sums_lines(sums: Sequence[ExactScalar], symbol: str = "p") -> list[str]:
-    index_width = len(str(len(sums) - 1))
-    value_width = max(len(str(v)) for v in sums)
-    return [
-        f"{symbol}{k:<{index_width}} = {str(v):>{value_width}}"
-        for k, v in enumerate(sums)
-    ]
-
-
-def _sums_payload(degree: int, sums: Sequence[ExactScalar], checks: list[dict]) -> dict:
+def _sums_payload(
+    degree: int, sums: Sequence[Fraction], checks: list[dict], **extra: str
+) -> dict:
     return {
         "degree": degree,
         "power_sums": [str(v) for v in sums],
         "checks": checks,
+        **extra,
     }
 
 
-def _cmd_powersums(args: argparse.Namespace) -> int:
+def _sums_text(payload: dict, symbol: str = "p") -> str:
+    values = payload["power_sums"]
+    index_width = len(str(len(values) - 1))
+    value_width = max(map(len, values))
+    return "\n".join(
+        f"{symbol}{k:<{index_width}} = {v:>{value_width}}" for k, v in enumerate(values)
+    )
+
+
+def _cmd_powersums(args: argparse.Namespace) -> _Result:
     _require(args.k >= 0, "--k must be nonnegative")
     poly = parse_polynomial(args.poly)
     sums = power_sums_from_coeffs(to_signed(poly), args.k)
-    if args.json:
-        _emit_json(_sums_payload(poly.degree, sums, []))
-    else:
-        print("\n".join(_sums_lines(sums)))
-    return EXIT_OK
+    return _sums_payload(poly.degree, sums, []), _sums_text
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> _Result:
     _require(args.n >= 0, "--n must be nonnegative")
     entries = parse_rational_list(args.powersums)
     if len(entries) < args.n:
-        raise _CommandError(
-            EXIT_MATH,
-            f"need at least {args.n} power sums p1..p{args.n}, got {len(entries)}",
+        raise ValueError(
+            f"need at least {args.n} power sums p1..p{args.n}, got {len(entries)}"
         )
-    sums = [ExactScalar(args.n)] + entries[: args.n]
+    sums = [Fraction(args.n)] + entries[: args.n]
     poly = from_signed(coeffs_from_power_sums(sums, args.n))
-    if args.json:
-        payload = _sums_payload(args.n, sums, [])
-        payload["polynomial"] = str(poly)
-        _emit_json(payload)
-    else:
-        print(poly)
-    return EXIT_OK
+    return _sums_payload(args.n, sums, [], polynomial=str(poly)), itemgetter("polynomial")
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> _Result:
     _require(args.k >= 0, "--k must be nonnegative")
     poly = parse_polynomial(args.poly)
     sums = log_derivative_power_sums(poly, args.k)
-    series = DescendingSeries(-1, tuple(sums))
-    if args.json:
-        payload = _sums_payload(poly.degree, sums, [])
-        payload["series"] = str(series)
-        _emit_json(payload)
-    else:
-        print(series)
-    return EXIT_OK
+    series = str(DescendingSeries(-1, tuple(sums)))
+    return _sums_payload(poly.degree, sums, [], series=series), itemgetter("series")
 
 
-def _cmd_from_roots(args: argparse.Namespace) -> int:
+def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     _require(args.k >= 0, "--k must be nonnegative")
     roots = parse_rational_list(args.roots)
     poly = poly_from_roots(roots)
@@ -153,28 +142,10 @@ def _cmd_from_roots(args: argparse.Namespace) -> int:
     recurrence = power_sums_from_coeffs(to_signed(poly), args.k)
     series = log_derivative_power_sums(poly, args.k)
     if not (direct == recurrence == series):
-        print(
-            "internal error: the three power-sum routes disagree", file=sys.stderr
-        )
-        return EXIT_INTERNAL
-    checks = [_check("three-route agreement", True, None)]
-    if args.json:
-        payload = _sums_payload(poly.degree, direct, checks)
-        payload["polynomial"] = str(poly)
-        _emit_json(payload)
-    else:
-        print(poly)
-        print("\n".join(_sums_lines(direct)))
-    return EXIT_OK
-
-
-def _first_difference(
-    left: Sequence[ExactScalar], right: Sequence[ExactScalar]
-) -> str | None:
-    for k, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return f"p{k}: {a} != {b}"
-    return None
+        raise InternalError("the three power-sum routes disagree")
+    checks = [_check("three-route agreement", None)]
+    payload = _sums_payload(poly.degree, direct, checks, polynomial=str(poly))
+    return payload, lambda p: p["polynomial"] + "\n" + _sums_text(p)
 
 
 def _residual_table(rows: list[tuple[str, str]]) -> list[str]:
@@ -184,28 +155,20 @@ def _residual_table(rows: list[tuple[str, str]]) -> list[str]:
 
 
 def _grid_lines(grid) -> list[str]:
-    # Aligned equality marks: rows are truncation degrees, columns are j.
-    degrees = sorted({c.degree for c in grid.cells})
-    indices = sorted({c.index for c in grid.cells})
-    cells = {(c.degree, c.index): c for c in grid.cells}
-    width = max(len(f"p{j}") for j in indices)
-    header = "  deg  " + "  ".join(f"{f'p{j}':>{width}}" for j in indices)
-    lines = [header]
-    for degree in degrees:
-        marks = []
-        for j in indices:
-            cell = cells.get((degree, j))
-            mark = "" if cell is None else ("=" if cell.equal else "!")
-            marks.append(f"{mark:>{width}}")
-        lines.append(f"  {degree:<3}  " + "  ".join(marks).rstrip())
+    # Aligned equality marks: one row per truncation degree k = 1..n, in
+    # the report's order, with a column for each p_j, j <= k.
+    n = grid.cells[-1].degree
+    width = len(f"p{n}")
+    lines = ["  deg  " + "  ".join(f"{f'p{j}':>{width}}" for j in range(1, n + 1))]
+    for degree, row in itertools.groupby(grid.cells, attrgetter("degree")):
+        marks = ("=" if cell.equal else "!" for cell in row)
+        lines.append(f"  {degree:<3}  " + "  ".join(f"{m:>{width}}" for m in marks))
     return lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     _require(args.k >= 0, "--k must be nonnegative")
     poly = parse_polynomial(args.poly)
-    checks: list[dict] = []
-    details: dict[str, list[str]] = {}
     if args.roots is not None:
         roots = parse_rational_list(args.roots)
         _require(
@@ -215,117 +178,110 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     recurrence = power_sums_from_coeffs(to_signed(poly), args.k)
     series_sums = log_derivative_power_sums(poly, args.k)
-    checks.append(
-        _check(
-            "recurrence-series agreement",
-            recurrence == series_sums,
-            _first_difference(recurrence, series_sums),
-        )
-    )
-
     cross = cross_multiplied_check(
         poly, args.k, series=DescendingSeries(-1, tuple(series_sums))
     )
+    # Each residual is the first failure found, or None when the check passes.
+    bad_sum = next(
+        (
+            f"p{k}: {a} != {b}"
+            for k, (a, b) in enumerate(zip(recurrence, series_sums))
+            if a != b
+        ),
+        None,
+    )
     bad = cross.first_nonzero()
-    checks.append(
+    checks = [
+        _check("recurrence-series agreement", bad_sum),
         _check(
             "cross-multiplied identity",
-            cross.ok,
             None if bad is None else f"x^{bad[0]}: residual {bad[1]}",
-        )
-    )
+        ),
+    ]
 
     if args.roots is not None:
         substitution = verify_by_substitution(poly, roots, args.k)
         bad_root = next(
-            ((r, v) for r, v in substitution.root_residuals if v != 0), None
-        )
-        checks.append(
-            _check(
-                "root substitution",
-                bad_root is None,
-                None if bad_root is None else f"p({bad_root[0]}) = {bad_root[1]}",
-            )
-        )
-        details["root substitution"] = _residual_table(
-            [(f"p({r})", str(v)) for r, v in substitution.root_residuals]
+            (f"p({r}) = {v}" for r, v in substitution.root_residuals if v != 0), None
         )
         bad_window = next(
-            ((k, v) for k, v in substitution.window_residuals if v != 0), None
+            (f"k={k}: residual {v}" for k, v in substitution.window_residuals if v != 0),
+            None,
         )
-        checks.append(
-            _check(
-                "collected window identities",
-                bad_window is None,
-                None
-                if bad_window is None
-                else f"k={bad_window[0]}: residual {bad_window[1]}",
-            )
+        # k >= degree >= 1 here (degree 0 fails in the series route), so
+        # the grid covers every truncation degree and is never empty.
+        grid = truncation_report(to_signed(poly), roots, poly.degree)
+        bad_cell = next(
+            (
+                f"degree {c.degree}, p{c.index}: {c.truncated} != {c.direct}"
+                for c in grid.cells
+                if not c.equal
+            ),
+            None,
         )
-        details["collected window identities"] = _residual_table(
-            [(f"k={k}", str(v)) for k, v in substitution.window_residuals]
-        )
-        grid = truncation_report(to_signed(poly), roots, min(args.k, poly.degree))
-        bad_cell = next((c for c in grid.cells if not c.equal), None)
-        checks.append(
-            _check(
-                "truncation grid",
-                bad_cell is None,
-                None
-                if bad_cell is None
-                else (
-                    f"degree {bad_cell.degree}, p{bad_cell.index}: "
-                    f"{bad_cell.truncated} != {bad_cell.direct}"
-                ),
-            )
-        )
-        if grid.cells:
-            details["truncation grid"] = _grid_lines(grid)
+        checks += [
+            _check("root substitution", bad_root),
+            _check("collected window identities", bad_window),
+            _check("truncation grid", bad_cell),
+        ]
 
-    all_ok = all(c["pass"] for c in checks)
-    if args.json:
-        _emit_json(_sums_payload(poly.degree, recurrence, checks))
-    else:
-        width = max(len(c["name"]) for c in checks)
-        for c in checks:
+    def render(payload: dict) -> str:
+        details = {}
+        if args.roots is not None:
+            details = {
+                "root substitution": _residual_table(
+                    [(f"p({r})", str(v)) for r, v in substitution.root_residuals]
+                ),
+                "collected window identities": _residual_table(
+                    [(f"k={k}", str(v)) for k, v in substitution.window_residuals]
+                ),
+                "truncation grid": _grid_lines(grid),
+            }
+        width = max(len(c["name"]) for c in payload["checks"])
+        lines = []
+        for c in payload["checks"]:
             status = "pass" if c["pass"] else "FAIL"
             line = f"{c['name']:<{width}}  {status}"
             if c["residual"]:
                 line += f"  {c['residual']}"
-            print(line)
-            for detail in details.get(c["name"], ()):
-                print(detail)
-    return EXIT_OK if all_ok else EXIT_MATH
+            lines.append(line)
+            lines.extend(details.get(c["name"], ()))
+        return "\n".join(lines)
+
+    return _sums_payload(poly.degree, recurrence, checks), render
 
 
-def _cmd_truncate(args: argparse.Namespace) -> int:
+def _cmd_truncate(args: argparse.Namespace) -> _Result:
     poly = parse_polynomial(args.poly)
     _require(
         0 <= args.degree <= poly.degree,
         f"--degree must be in 0..{poly.degree}",
     )
     result = from_signed(to_signed(poly).truncate(args.degree))
-    if args.json:
-        _emit_json(
-            {"degree": args.degree, "polynomial": str(result), "checks": []}
-        )
-    else:
-        print(result)
-    return EXIT_OK
+    payload = {"degree": args.degree, "polynomial": str(result), "checks": []}
+    return payload, itemgetter("polynomial")
 
 
-def _cmd_negpowers(args: argparse.Namespace) -> int:
+def _cmd_negpowers(args: argparse.Namespace) -> _Result:
     _require(args.k >= 0, "--k must be nonnegative")
     poly = parse_polynomial(args.poly)
     sums = negative_power_sums(to_signed(poly), args.k)
-    if args.json:
-        _emit_json(_sums_payload(poly.degree, sums, []))
-    else:
-        print("\n".join(_sums_lines(sums, symbol="q")))
-    return EXIT_OK
+    return _sums_payload(poly.degree, sums, []), partial(_sums_text, symbol="q")
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _bench_text(payload: dict) -> str:
+    return "\n".join(
+        [
+            f"degree {payload['degree']}, k {payload['k']}, seed {payload['seed']}",
+            f"recurrence route: {payload['recurrence_seconds']:.3f} s",
+            f"series route:     {payload['series_seconds']:.3f} s",
+            f"routes agree exactly on {payload['k'] + 1} power sums",
+            f"max numerator bit length: {payload['max_numerator_bits']}",
+        ]
+    )
+
+
+def _cmd_bench(args: argparse.Namespace) -> _Result:
     _require(args.degree >= 1, "--degree must be at least 1")
     _require(args.k >= 1, "--k must be at least 1")
     rng = random.Random(args.seed)
@@ -340,32 +296,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     end = time.perf_counter()
 
     if recurrence != series:
-        print(
-            "internal error: recurrence and series routes disagree", file=sys.stderr
-        )
-        return EXIT_INTERNAL
-    max_bits = max(abs(v.numerator).bit_length() for v in recurrence)
-    recurrence_seconds = mid - start
-    series_seconds = end - mid
-    if args.json:
-        _emit_json(
-            {
-                "degree": args.degree,
-                "k": args.k,
-                "seed": args.seed,
-                "max_numerator_bits": max_bits,
-                "recurrence_seconds": recurrence_seconds,
-                "series_seconds": series_seconds,
-                "checks": [_check("route agreement", True, None)],
-            }
-        )
-    else:
-        print(f"degree {args.degree}, k {args.k}, seed {args.seed}")
-        print(f"recurrence route: {recurrence_seconds:.3f} s")
-        print(f"series route:     {series_seconds:.3f} s")
-        print(f"routes agree exactly on {len(recurrence)} power sums")
-        print(f"max numerator bit length: {max_bits}")
-    return EXIT_OK
+        raise InternalError("recurrence and series routes disagree")
+    payload = {
+        "degree": args.degree,
+        "k": args.k,
+        "seed": args.seed,
+        "max_numerator_bits": max(abs(v.numerator).bit_length() for v in recurrence),
+        "recurrence_seconds": mid - start,
+        "series_seconds": end - mid,
+        "checks": [_check("route agreement", None)],
+    }
+    return payload, _bench_text
 
 
 @contextlib.contextmanager
@@ -457,10 +398,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         with _unlimited_int_digits():
-            return args.handler(args)
-    except _CommandError as err:
+            payload, render = args.handler(args)
+            print(json.dumps(payload) if args.json else render(payload))
+    except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
+        return EXIT_USAGE
     except ParseError as err:
         print(f"parse error: {err.diagnostic}", file=sys.stderr)
         return EXIT_USAGE
@@ -470,6 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK if all(c["pass"] for c in payload["checks"]) else EXIT_MATH
 
 
 def entry() -> None:

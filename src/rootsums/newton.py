@@ -33,10 +33,10 @@ the substitution checks in :mod:`rootsums.roots` stay on unscaled
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .scalar import ExactScalar
 from .polynomial import SignedCoefficients, from_signed, reciprocal_poly, to_signed
 
 
@@ -53,7 +53,7 @@ def _window(weights: Sequence, sums: Sequence, k: int, width: int):
     return sum(map(mul, weights[:width], reversed(sums[k - width : k])))
 
 
-def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[ExactScalar]:
+def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
     """p_0..p_k_max of the roots of the polynomial with these coefficients.
 
     Picks the short regime for k <= n and the full-window regime for
@@ -78,16 +78,16 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Exact
             value = _window(weights, sums, k, n)
         sums.append(value)
     if scale == 1:
-        return [ExactScalar(v) for v in sums]
+        return [Fraction(v) for v in sums]
     out = []
     power = 1
     for v in sums:
-        out.append(ExactScalar(v, power))
+        out.append(Fraction(v, power))
         power *= scale
     return out
 
 
-def coeffs_from_power_sums(power_sums: Sequence[ExactScalar], degree: int) -> SignedCoefficients:
+def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> SignedCoefficients:
     """Recover the signed coefficients from p_0..p_degree.
 
     Inverts the short regime one coefficient at a time; step k divides
@@ -104,17 +104,17 @@ def coeffs_from_power_sums(power_sums: Sequence[ExactScalar], degree: int) -> Si
         raise ValueError(
             f"need power sums p_0..p_{degree}, got only {len(power_sums)} values"
         )
-    sums = [ExactScalar(v) for v in power_sums[: degree + 1]]
+    sums = [Fraction(v) for v in power_sums[: degree + 1]]
     if sums[0] != degree:
         raise ValueError(f"p_0 is {sums[0]} but must equal the degree {degree}")
-    weights: list[ExactScalar] = []  # (-1)^(k-1) * a_k
+    weights: list[Fraction] = []  # (-1)^(k-1) * a_k
     for k in range(1, degree + 1):
         weights.append((sums[k] - _window(weights, sums, k, k - 1)) / k)
     values = (w if k % 2 else -w for k, w in enumerate(weights, start=1))
     return SignedCoefficients(degree, tuple(values))
 
 
-def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[ExactScalar]:
+def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
     """q_0..q_k_max with q_k the sum of the (-k)-th powers of the roots.
 
     Realized as the ordinary power sums of the reciprocal polynomial,

@@ -22,9 +22,9 @@ whatever bytes come in. That includes integers longer than
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NoReturn
 
-from .scalar import ONE, ExactScalar
 from .polynomial import Polynomial
 
 # Exponents are capped so a hostile input cannot demand a gigantic dense
@@ -132,9 +132,9 @@ class _TokenStream:
         return self.advance()
 
 
-def _parse_unsigned_rational(stream: _TokenStream) -> ExactScalar:
+def _parse_unsigned_rational(stream: _TokenStream) -> Fraction:
     num_token = stream.expect("int", "an integer")
-    value = ExactScalar(int(num_token.text))
+    value = Fraction(int(num_token.text))
     if stream.peek().kind == "slash":
         stream.advance()
         den_token = stream.expect("int", "a positive denominator")
@@ -146,13 +146,12 @@ def _parse_unsigned_rational(stream: _TokenStream) -> ExactScalar:
 
 
 class _PolynomialParser:
-    def __init__(self, stream: _TokenStream, max_exponent: int):
+    def __init__(self, stream: _TokenStream):
         self.stream = stream
-        self.max_exponent = max_exponent
         self.variable: str | None = None
 
-    def parse(self) -> dict[int, ExactScalar]:
-        terms: dict[int, ExactScalar] = {}
+    def parse(self) -> dict[int, Fraction]:
+        terms: dict[int, Fraction] = {}
         sign = 1
         head = self.stream.peek()
         if head.kind == "minus":
@@ -162,7 +161,7 @@ class _PolynomialParser:
                 _fail(self.stream.peek().offset, '"--" is not allowed')
         while True:
             coeff, exponent = self._term()
-            terms[exponent] = terms.get(exponent, ExactScalar(0)) + sign * coeff
+            terms[exponent] = terms.get(exponent, Fraction(0)) + sign * coeff
             token = self.stream.peek()
             if token.kind == "end":
                 return terms
@@ -179,9 +178,9 @@ class _PolynomialParser:
                 if self.stream.peek().kind == "minus":
                     _fail(self.stream.peek().offset, '"--" is not allowed')
 
-    def _term(self) -> tuple[ExactScalar, int]:
+    def _term(self) -> tuple[Fraction, int]:
         token = self.stream.peek()
-        coeff: ExactScalar | None = None
+        coeff: Fraction | None = None
         if token.kind == "int":
             coeff = _parse_unsigned_rational(self.stream)
         saw_variable = False
@@ -199,14 +198,14 @@ class _PolynomialParser:
                     _fail(exp_token.offset, "exponent must be a nonnegative integer")
                 exp_token = self.stream.expect("int", "a nonnegative exponent")
                 exponent = int(exp_token.text)
-                if exponent > self.max_exponent:
+                if exponent > MAX_EXPONENT:
                     _fail(
                         exp_token.offset,
-                        f"exponent exceeds the supported maximum of {self.max_exponent}",
+                        f"exponent exceeds the supported maximum of {MAX_EXPONENT}",
                     )
         if coeff is None and not saw_variable:
             _fail(token.offset, "expected a term", ("an integer", "a variable"))
-        return (ONE if coeff is None else coeff), exponent
+        return (Fraction(1) if coeff is None else coeff), exponent
 
     def _check_variable(self, token: _Token) -> None:
         if self.variable is None:
@@ -218,7 +217,7 @@ class _PolynomialParser:
             )
 
 
-def parse_polynomial(text: str, *, max_exponent: int = MAX_EXPONENT) -> Polynomial:
+def parse_polynomial(text: str) -> Polynomial:
     """Parse the grammar above into a Polynomial.
 
     Raises ParseError on malformed input, inconsistent variables,
@@ -226,8 +225,8 @@ def parse_polynomial(text: str, *, max_exponent: int = MAX_EXPONENT) -> Polynomi
     zero polynomial.
     """
     stream = _TokenStream(_tokenize(text))
-    terms = _PolynomialParser(stream, max_exponent).parse()
-    coeffs = [ExactScalar(0)] * (max(terms) + 1)
+    terms = _PolynomialParser(stream).parse()
+    coeffs = [Fraction(0)] * (max(terms) + 1)
     for exponent, value in terms.items():
         coeffs[exponent] = value
     result = Polynomial(coeffs)
@@ -236,7 +235,7 @@ def parse_polynomial(text: str, *, max_exponent: int = MAX_EXPONENT) -> Polynomi
     return result
 
 
-def parse_rational_list(text: str) -> list[ExactScalar]:
+def parse_rational_list(text: str) -> list[Fraction]:
     """Parse comma-separated rationals ("1, -4, 5/10") into scalars.
 
     Entries canonicalize on the way in (5/10 becomes 1/2). An empty
@@ -244,7 +243,7 @@ def parse_rational_list(text: str) -> list[ExactScalar]:
     offset of the problem.
     """
     stream = _TokenStream(_tokenize(text))
-    values: list[ExactScalar] = []
+    values: list[Fraction] = []
     while True:
         token = stream.peek()
         negative = False

@@ -18,27 +18,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .scalar import ONE, ZERO, ExactScalar
 
 # A root multiset is any sequence of exact rationals; repeats allowed,
 # order irrelevant (every consumer is a symmetric function of it).
-RootMultiset = Sequence[ExactScalar]
+RootMultiset = Sequence[Fraction]
 
 
 @dataclass(frozen=True, init=False)
 class Polynomial:
-    """A univariate polynomial with ExactScalar coefficients; immutable and hashable.
+    """A univariate polynomial with Fraction coefficients; immutable and hashable.
 
     >>> str(Polynomial([2, -3, 1]))
     'x^2 - 3x + 2'
     """
 
-    coefficients: tuple[ExactScalar, ...]
+    coefficients: tuple[Fraction, ...]
 
-    def __init__(self, coefficients: Iterable[ExactScalar | int]):
-        coeffs = [ExactScalar(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[Fraction | int]):
+        coeffs = [Fraction(c) for c in coefficients]
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -51,16 +50,16 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return self.coefficients == (ZERO,)
+        return self.coefficients == (Fraction(0),)
 
     @property
-    def leading_coefficient(self) -> ExactScalar:
+    def leading_coefficient(self) -> Fraction:
         return self.coefficients[-1]
 
-    def evaluate(self, point: ExactScalar | int) -> ExactScalar:
+    def evaluate(self, point: Fraction | int) -> Fraction:
         """Value at ``point`` by Horner's scheme, exact."""
-        point = ExactScalar(point)
-        acc = ZERO
+        point = Fraction(point)
+        acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * point + c
         return acc
@@ -68,7 +67,7 @@ class Polynomial:
     def derivative(self) -> Polynomial:
         """Formal derivative; a constant yields the zero polynomial."""
         if self.degree == 0:
-            return Polynomial([ZERO])
+            return Polynomial([Fraction(0)])
         return Polynomial([i * c for i, c in enumerate(self.coefficients)][1:])
 
     def monic(self) -> Polynomial:
@@ -87,23 +86,23 @@ class Polynomial:
         return Polynomial(
             a + b
             for a, b in itertools.zip_longest(
-                self.coefficients, other.coefficients, fillvalue=ZERO
+                self.coefficients, other.coefficients, fillvalue=Fraction(0)
             )
         )
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
-    def __mul__(self, other: Polynomial | ExactScalar | int) -> Polynomial:
+    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, Polynomial):
-            out = [ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
+            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
                 if a == 0:
                     continue
                 for j, b in enumerate(other.coefficients):
                     out[i + j] += a * b
             return Polynomial(out)
-        scale = ExactScalar(other)
+        scale = Fraction(other)
         return Polynomial([c * scale for c in self.coefficients])
 
     __rmul__ = __mul__
@@ -142,12 +141,12 @@ class SignedCoefficients:
     """
 
     degree: int
-    values: tuple[ExactScalar, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        coerced = tuple(ExactScalar(v) for v in self.values)
+        coerced = tuple(Fraction(v) for v in self.values)
         if len(coerced) != self.degree:
             raise ValueError(
                 f"expected {self.degree} signed coefficients, got {len(coerced)}"
@@ -182,7 +181,7 @@ def from_signed(s: SignedCoefficients) -> Polynomial:
     the constant 1 (empty product).
     """
     n = s.degree
-    coeffs = [ZERO] * n + [ONE]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
     for k in range(1, n + 1):
         coeffs[n - k] = s.values[k - 1] if k % 2 == 0 else -s.values[k - 1]
     return Polynomial(coeffs)
@@ -192,18 +191,18 @@ def poly_from_roots(roots: RootMultiset) -> Polynomial:
     """Monic polynomial with exactly the given roots: prod of (x - r)."""
     if not roots:
         raise ValueError("at least one root is required")
-    coeffs = [ONE]
+    coeffs = [Fraction(1)]
     for root in roots:
-        r = ExactScalar(root)
+        r = Fraction(root)
         # Multiply by (x - r) in place: new[i] = old[i-1] - r*old[i].
-        coeffs.append(ZERO)
+        coeffs.append(Fraction(0))
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] = coeffs[i - 1] - r * coeffs[i]
         coeffs[0] = -r * coeffs[0]
     return Polynomial(coeffs)
 
 
-def elementary_symmetric(roots: RootMultiset, k: int) -> ExactScalar:
+def elementary_symmetric(roots: RootMultiset, k: int) -> Fraction:
     """Sum of the products of k distinct roots, by direct enumeration.
 
     Deliberately enumerates all k-subsets rather than reusing the
@@ -213,10 +212,10 @@ def elementary_symmetric(roots: RootMultiset, k: int) -> ExactScalar:
     """
     if not 0 <= k <= len(roots):
         raise ValueError(f"k must be in 0..{len(roots)}")
-    values = [ExactScalar(r) for r in roots]
-    total = ZERO
+    values = [Fraction(r) for r in roots]
+    total = Fraction(0)
     for combo in itertools.combinations(values, k):
-        total += math.prod(combo, start=ONE)
+        total += math.prod(combo, start=Fraction(1))
     return total
 
 

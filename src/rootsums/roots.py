@@ -14,26 +14,26 @@ usable cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .scalar import ONE, ZERO, ExactScalar
 from .polynomial import Polynomial, RootMultiset, SignedCoefficients, to_signed
 from .newton import power_sums_from_coeffs
 
 
-def power_sums_direct(roots: RootMultiset, k_max: int) -> list[ExactScalar]:
+def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     """p_k = sum of root**k over the multiset, for k = 0..k_max.
 
     p_0 is the number of roots; the empty multiset gives all zeros.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    values = [ExactScalar(r) for r in roots]
-    sums: list[ExactScalar] = [ExactScalar(len(values))]
-    powers = [ONE] * len(values)
+    values = [Fraction(r) for r in roots]
+    sums: list[Fraction] = [Fraction(len(values))]
+    powers = [Fraction(1)] * len(values)
     for _ in range(k_max):
         for i, r in enumerate(values):
             powers[i] *= r
-        sums.append(sum(powers, start=ZERO))
+        sums.append(sum(powers, start=Fraction(0)))
     return sums
 
 
@@ -48,8 +48,8 @@ class SubstitutionReport:
     with directly-summed power sums; these too vanish for true roots.
     """
 
-    root_residuals: tuple[tuple[ExactScalar, ExactScalar], ...]
-    window_residuals: tuple[tuple[int, ExactScalar], ...]
+    root_residuals: tuple[tuple[Fraction, Fraction], ...]
+    window_residuals: tuple[tuple[int, Fraction], ...]
 
     @property
     def ok(self) -> bool:
@@ -73,7 +73,7 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
         raise ValueError("k_max must be at least the degree")
     signed = to_signed(p)
     direct = power_sums_direct(roots, k_max)
-    root_residuals = tuple((ExactScalar(r), p.evaluate(r)) for r in roots)
+    root_residuals = tuple((Fraction(r), p.evaluate(r)) for r in roots)
     window_residuals = []
     for k in range(n, k_max + 1):
         acc = direct[k]
@@ -90,8 +90,8 @@ class TruncationCell:
 
     degree: int
     index: int
-    truncated: ExactScalar
-    direct: ExactScalar
+    truncated: Fraction
+    direct: Fraction
 
     @property
     def equal(self) -> bool:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import sub
 
-from .scalar import ZERO, ExactScalar
 from .polynomial import Polynomial
 
 
@@ -44,10 +44,10 @@ class DescendingSeries:
     """
 
     start_exponent: int
-    terms: tuple[ExactScalar, ...]
+    terms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(ExactScalar(t) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
         if not self.terms:
             raise ValueError("a series carries at least one term")
 
@@ -55,11 +55,11 @@ class DescendingSeries:
     def order(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, exponent: int) -> ExactScalar:
+    def coefficient(self, exponent: int) -> Fraction:
         """Coefficient of x**exponent; asking below the truncation is an error."""
         j = self.start_exponent - exponent
         if j < 0:
-            return ZERO
+            return Fraction(0)
         if j >= len(self.terms):
             raise ValueError(f"x^{exponent} is below the truncation")
         return self.terms[j]
@@ -140,11 +140,11 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     power = 1
     for c in reversed(quotient):
         power *= scale
-        terms.append(ExactScalar(c, power))
+        terms.append(Fraction(c, power))
     return DescendingSeries(-1, tuple(terms))
 
 
-def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[ExactScalar]:
+def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
     """p_0..p_k_max read off the descending expansion of p'(x)/p(x).
 
     The 1/x coefficient is the degree and the 1/x^(k+1) coefficient is
@@ -167,11 +167,11 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     start+deg(poly)-K+1 are fully determined.
     """
     if poly.is_zero:
-        return DescendingSeries(series.start_exponent, (ZERO,) * series.order)
+        return DescendingSeries(series.start_exponent, (Fraction(0),) * series.order)
     n = poly.degree
-    out: list[ExactScalar] = []
+    out: list[Fraction] = []
     for u in range(series.order):
-        acc = ZERO
+        acc = Fraction(0)
         for j, c in enumerate(poly.coefficients):
             if c == 0:
                 continue
@@ -187,13 +187,13 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
 class CrossCheckReport:
     """Residuals of (series for p'/p) * p - p', one per representable exponent."""
 
-    residuals: tuple[tuple[int, ExactScalar], ...]  # (exponent, value), descending
+    residuals: tuple[tuple[int, Fraction], ...]  # (exponent, value), descending
 
     @property
     def ok(self) -> bool:
         return all(value == 0 for _, value in self.residuals)
 
-    def first_nonzero(self) -> tuple[int, ExactScalar] | None:
+    def first_nonzero(self) -> tuple[int, Fraction] | None:
         for exponent, value in self.residuals:
             if value != 0:
                 return exponent, value
@@ -219,11 +219,11 @@ def cross_multiplied_check(
         series = divide_descending(p.derivative(), p, k_max + 1)
     product = multiply_by_polynomial(series, p)
     deriv = p.derivative()
-    residuals: list[tuple[int, ExactScalar]] = []
+    residuals: list[tuple[int, Fraction]] = []
     for j, value in enumerate(product.terms):
         exponent = product.start_exponent - j
         expected = (
-            deriv.coefficients[exponent] if 0 <= exponent <= deriv.degree else ZERO
+            deriv.coefficients[exponent] if 0 <= exponent <= deriv.degree else Fraction(0)
         )
         residuals.append((exponent, value - expected))
     return CrossCheckReport(tuple(residuals))
