@@ -366,3 +366,11 @@ def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "x^2 - 1", "--roots", "1,-1", "--k", "1")
     assert (code, out) == (1, "")
     assert "at least the polynomial degree" in err
+
+
+def test_exponent_over_the_cap_exits_one(capsys):
+    code, out, _ = run(capsys, "powersums", "x^10000", "--k", "0")
+    assert (code, out) == (0, "p0 = 10000\n")
+    code, out, err = run(capsys, "powersums", "x^10001", "--k", "0")
+    assert (code, out) == (1, "")
+    assert err == "parse error: offset 2: exponent exceeds the supported maximum of 10000\n"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootsums import (
+    MAX_EXPONENT,
     ExactScalar,
     ParseError,
     Polynomial,
@@ -68,6 +69,11 @@ def test_negative_exponent_rejected():
 def test_oversized_exponent_rejected():
     diag = diagnostic_of(parse_polynomial, "x^99999999")
     assert "maximum" in diag.message
+    assert MAX_EXPONENT == 10_000
+    assert parse_polynomial("x^10000 + 1").degree == 10_000
+    diag = diagnostic_of(parse_polynomial, "x + 3x^10001")
+    assert diag.offset == 7
+    assert diag.message == "exponent exceeds the supported maximum of 10000"
 
 
 def test_integer_digit_limit():
