@@ -166,12 +166,13 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     series coefficients, exponents from start+deg(poly) down through
     start+deg(poly)-K+1 are fully determined.
     """
+    zero = Fraction(0)
     if poly.is_zero:
-        return DescendingSeries(series.start_exponent, (Fraction(0),) * series.order)
+        return DescendingSeries(series.start_exponent, (zero,) * series.order)
     n = poly.degree
     out: list[Fraction] = []
     for u in range(series.order):
-        acc = Fraction(0)
+        acc = zero
         for j, c in enumerate(poly.coefficients):
             if c == 0:
                 continue
@@ -223,7 +224,7 @@ def cross_multiplied_check(
     for j, value in enumerate(product.terms):
         exponent = product.start_exponent - j
         expected = (
-            deriv.coefficients[exponent] if 0 <= exponent <= deriv.degree else Fraction(0)
+            deriv.coefficients[exponent] if 0 <= exponent <= deriv.degree else 0
         )
         residuals.append((exponent, value - expected))
     return CrossCheckReport(tuple(residuals))
