@@ -8,6 +8,11 @@ Polynomial grammar (LL(1) over the token stream):
     variable    = single ASCII letter, consistent within one input
     exponent    = nonnegative integer
 
+Tokens are runs of ASCII digits, single ASCII letters and ``+ - ^ / ,``;
+any other character but space, tab, CR and LF is an error. The whole
+input is tokenized first, so a bad character or an over-long integer is
+reported ahead of an earlier grammar error.
+
 Multiplication between coefficient and variable is implicit ("1/2x"
 binds as (1/2)*x), whitespace is insignificant, like terms are combined,
 and an input that combines to the zero polynomial is rejected. A unary
@@ -21,6 +26,7 @@ whatever bytes come in. That includes integers longer than
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
@@ -36,8 +42,13 @@ MAX_EXPONENT = 10_000
 # quadratic in the length), whatever limit the interpreter has set.
 MAX_DIGITS = 4300
 
-_DIGITS = "0123456789"
-_OPERATORS = {"+": "plus", "-": "minus", "^": "caret", "/": "slash", ",": "comma"}
+# One alternative per token kind. The classes are spelled out in ASCII
+# because \d, \s and \w also match non-ASCII digits, spaces and letters,
+# which are unexpected characters here.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<int>[0-9]+)|(?P<letter>[A-Za-z])|(?P<op>[-+^/,])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -69,152 +80,55 @@ def _fail(offset: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn
     raise ParseError(ParseDiagnostic(offset, message, expected))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int | letter | plus | minus | caret | slash | comma | end
-    text: str
-    offset: int
+class _Cursor:
+    """The tokens of one input, read left to right.
 
+    A token is a ``(kind, text, offset)`` tuple. The kind of an operator
+    is its own character; the others are "int", "letter" and, last of
+    all, "end", whose offset is one past the input.
+    """
 
-def _is_ascii_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
+    def __init__(self, text: str):
+        self.tokens: list[tuple[str, str, int]] = []
+        self.pos = 0
+        for match in _TOKEN.finditer(text):
+            kind, token, offset = match.lastgroup, match.group(), match.start()
+            if kind == "bad":
+                _fail(offset, f"unexpected character {token!r}")
+            if kind == "int" and len(token) > MAX_DIGITS:
+                _fail(offset, f"integer has more than {MAX_DIGITS} digits")
+            if kind != "space":
+                self.tokens.append((token if kind == "op" else kind, token, offset))
+        self.tokens.append(("end", "", len(text)))
 
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i + 1
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
-                _fail(i, f"integer has more than {MAX_DIGITS} digits")
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if _is_ascii_letter(ch):
-            tokens.append(_Token("letter", ch, i))
-            i += 1
-            continue
-        kind = _OPERATORS.get(ch)
-        if kind is None:
-            _fail(i, f"unexpected character {ch!r}")
-        tokens.append(_Token(kind, ch, i))
-        i += 1
-    tokens.append(_Token("end", "", size))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.kind != "end":
-            self._pos += 1
+    def take(self, kind: str) -> tuple[str, str, int] | None:
+        """Consume and return the next token if it has this kind."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            return None
+        self.pos += 1
         return token
 
-    def expect(self, kind: str, description: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            _fail(token.offset, f"expected {description}", (description,))
-        return self.advance()
+    def expect(self, kind: str, description: str) -> tuple[str, str, int]:
+        token = self.take(kind)
+        if token is None:
+            _fail(self.peek()[2], f"expected {description}", (description,))
+        return token
 
 
-def _parse_unsigned_rational(stream: _TokenStream) -> Fraction:
-    num_token = stream.expect("int", "an integer")
-    value = Fraction(int(num_token.text))
-    if stream.peek().kind == "slash":
-        stream.advance()
-        den_token = stream.expect("int", "a positive denominator")
-        den = int(den_token.text)
+def _unsigned_rational(cursor: _Cursor, numerator: str) -> Fraction:
+    """The rational whose numerator digits the caller has just taken."""
+    value = Fraction(int(numerator))
+    if cursor.take("/"):
+        _, digits, offset = cursor.expect("int", "a positive denominator")
+        den = int(digits)
         if den == 0:
-            _fail(den_token.offset, "denominator must be a positive integer")
+            _fail(offset, "denominator must be a positive integer")
         value /= den
     return value
-
-
-class _PolynomialParser:
-    def __init__(self, stream: _TokenStream):
-        self.stream = stream
-        self.variable: str | None = None
-
-    def parse(self) -> dict[int, Fraction]:
-        terms: dict[int, Fraction] = {}
-        sign = 1
-        head = self.stream.peek()
-        if head.kind == "minus":
-            self.stream.advance()
-            sign = -1
-            if self.stream.peek().kind == "minus":
-                _fail(self.stream.peek().offset, '"--" is not allowed')
-        while True:
-            coeff, exponent = self._term()
-            terms[exponent] = terms.get(exponent, Fraction(0)) + sign * coeff
-            token = self.stream.peek()
-            if token.kind == "end":
-                return terms
-            if token.kind not in ("plus", "minus"):
-                _fail(token.offset, "expected an operator", ("'+'", "'-'"))
-            self.stream.advance()
-            sign = 1 if token.kind == "plus" else -1
-            follower = self.stream.peek()
-            if follower.kind == "minus":
-                if token.kind == "minus":
-                    _fail(follower.offset, '"--" is not allowed')
-                self.stream.advance()  # unary minus after '+'
-                sign = -1
-                if self.stream.peek().kind == "minus":
-                    _fail(self.stream.peek().offset, '"--" is not allowed')
-
-    def _term(self) -> tuple[Fraction, int]:
-        token = self.stream.peek()
-        coeff: Fraction | None = None
-        if token.kind == "int":
-            coeff = _parse_unsigned_rational(self.stream)
-        saw_variable = False
-        exponent = 0
-        token = self.stream.peek()
-        if token.kind == "letter":
-            self.stream.advance()
-            self._check_variable(token)
-            saw_variable = True
-            exponent = 1
-            if self.stream.peek().kind == "caret":
-                self.stream.advance()
-                exp_token = self.stream.peek()
-                if exp_token.kind == "minus":
-                    _fail(exp_token.offset, "exponent must be a nonnegative integer")
-                exp_token = self.stream.expect("int", "a nonnegative exponent")
-                exponent = int(exp_token.text)
-                if exponent > MAX_EXPONENT:
-                    _fail(
-                        exp_token.offset,
-                        f"exponent exceeds the supported maximum of {MAX_EXPONENT}",
-                    )
-        if coeff is None and not saw_variable:
-            _fail(token.offset, "expected a term", ("an integer", "a variable"))
-        return (Fraction(1) if coeff is None else coeff), exponent
-
-    def _check_variable(self, token: _Token) -> None:
-        if self.variable is None:
-            self.variable = token.text
-        elif token.text != self.variable:
-            _fail(
-                token.offset,
-                f"inconsistent variable {token.text!r}, the input already uses {self.variable!r}",
-            )
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -224,8 +138,57 @@ def parse_polynomial(text: str) -> Polynomial:
     negative or oversized exponents, and input that combines to the
     zero polynomial.
     """
-    stream = _TokenStream(_tokenize(text))
-    terms = _PolynomialParser(stream).parse()
+    cursor = _Cursor(text)
+    variable: str | None = None
+    terms: dict[int, Fraction] = {}
+    sign = 1  # set by the operator before each term; the head has none
+    while True:
+        # A unary minus may open the input or follow '+'. Whichever way
+        # a '-' was read, the token after it must not be another '-'.
+        if sign == 1 and cursor.take("-"):
+            sign = -1
+        kind, _, offset = cursor.peek()
+        if sign == -1 and kind == "-":
+            _fail(offset, '"--" is not allowed')
+
+        number = cursor.take("int")
+        coeff = Fraction(1)
+        if number is not None:
+            coeff = _unsigned_rational(cursor, number[1])
+        exponent = 0
+        letter = cursor.take("letter")
+        if letter is not None:
+            _, name, offset = letter
+            if variable is None:
+                variable = name
+            elif name != variable:
+                _fail(
+                    offset,
+                    f"inconsistent variable {name!r}, the input already uses {variable!r}",
+                )
+            exponent = 1
+            if cursor.take("^"):
+                kind, _, offset = cursor.peek()
+                if kind == "-":
+                    _fail(offset, "exponent must be a nonnegative integer")
+                _, digits, offset = cursor.expect("int", "a nonnegative exponent")
+                exponent = int(digits)
+                if exponent > MAX_EXPONENT:
+                    _fail(
+                        offset,
+                        f"exponent exceeds the supported maximum of {MAX_EXPONENT}",
+                    )
+        elif number is None:
+            _fail(cursor.peek()[2], "expected a term", ("an integer", "a variable"))
+        terms[exponent] = terms.get(exponent, Fraction(0)) + sign * coeff
+
+        kind, _, offset = cursor.peek()
+        if kind == "end":
+            break
+        if not cursor.take("+") and not cursor.take("-"):
+            _fail(offset, "expected an operator", ("'+'", "'-'"))
+        sign = 1 if kind == "+" else -1
+
     coeffs = [Fraction(0)] * (max(terms) + 1)
     for exponent, value in terms.items():
         coeffs[exponent] = value
@@ -242,21 +205,15 @@ def parse_rational_list(text: str) -> list[Fraction]:
     input, an empty slot, or trailing garbage raises ParseError with the
     offset of the problem.
     """
-    stream = _TokenStream(_tokenize(text))
+    cursor = _Cursor(text)
     values: list[Fraction] = []
     while True:
-        token = stream.peek()
-        negative = False
-        if token.kind == "minus":
-            stream.advance()
-            negative = True
-        if stream.peek().kind != "int":
-            _fail(stream.peek().offset, "expected a rational number")
-        value = _parse_unsigned_rational(stream)
+        negative = cursor.take("-") is not None
+        number = cursor.take("int")
+        if number is None:
+            _fail(cursor.peek()[2], "expected a rational number")
+        value = _unsigned_rational(cursor, number[1])
         values.append(-value if negative else value)
-        token = stream.peek()
-        if token.kind == "end":
+        if cursor.peek()[0] == "end":
             return values
-        if token.kind != "comma":
-            _fail(token.offset, "expected ','", ("','",))
-        stream.advance()
+        cursor.expect(",", "','")

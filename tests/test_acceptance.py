@@ -19,6 +19,7 @@ from rootsums import (
     log_derivative_power_sums,
     negative_power_sums,
     parse_polynomial,
+    parse_rational_list,
     poly_from_roots,
     power_sums_direct,
     power_sums_from_coeffs,
@@ -195,10 +196,11 @@ def test_criterion_8_parser_round_trip_and_fuzz():
             raw = "".join(
                 rng.choice(grammar_alphabet) for _ in range(rng.randint(0, 12))
             )
-        try:
-            parse_polynomial(raw)
-        except ParseError as err:
-            assert 0 <= err.diagnostic.offset <= len(raw)
+        for entry in (parse_polynomial, parse_rational_list):
+            try:
+                entry(raw)
+            except ParseError as err:
+                assert 0 <= err.diagnostic.offset <= len(raw)
     _passed(8, f"parser round trip and {fuzz_count} fuzz inputs")
 
 

@@ -90,6 +90,11 @@ def test_integer_digit_limit():
 def test_unexpected_character():
     diag = diagnostic_of(parse_polynomial, "x^2 + $")
     assert diag.offset == 6
+    # Non-ASCII digits, spaces and letters are not tokens either.
+    for text, offset in [("\u0663x", 0), ("x\xa0+ 1", 1), ("\xe9", 0)]:
+        diag = diagnostic_of(parse_polynomial, text)
+        assert diag.offset == offset
+        assert diag.message == f"unexpected character {text[offset]!r}"
 
 
 def test_truncated_input():
@@ -132,6 +137,64 @@ def test_rational_list_examples():
     assert diag.offset == 2
     diag = diagnostic_of(parse_rational_list, "1/0")
     assert diag.offset == 2
+
+
+# The exact text of every diagnostic: one input per failure site of either
+# entry point, and the sites they share reached through both. The last two
+# rows show the whole input is tokenized before the grammar is checked.
+DIAGNOSTICS = [
+    (parse_polynomial, "x^2 + $", "offset 6: unexpected character '$'"),
+    (parse_rational_list, "1, \xe9", "offset 3: unexpected character '\xe9'"),
+    (parse_polynomial, "x + " + "9" * 4301, "offset 4: integer has more than 4300 digits"),
+    (parse_rational_list, "1, 2/" + "7" * 4301, "offset 5: integer has more than 4300 digits"),
+    (parse_polynomial, "--x", 'offset 1: "--" is not allowed'),
+    (parse_polynomial, "x--2", 'offset 2: "--" is not allowed'),
+    (parse_polynomial, "x + --2", 'offset 5: "--" is not allowed'),
+    (parse_polynomial, "2 3", "offset 2: expected an operator (expected '+', '-')"),
+    (
+        parse_polynomial,
+        "1/x",
+        "offset 2: expected a positive denominator (expected a positive denominator)",
+    ),
+    (
+        parse_rational_list,
+        "1/-2",
+        "offset 2: expected a positive denominator (expected a positive denominator)",
+    ),
+    (parse_polynomial, "1/0x", "offset 2: denominator must be a positive integer"),
+    (parse_rational_list, "3, 1/0", "offset 5: denominator must be a positive integer"),
+    (parse_polynomial, "x^-2", "offset 2: exponent must be a nonnegative integer"),
+    (
+        parse_polynomial,
+        "x^",
+        "offset 2: expected a nonnegative exponent (expected a nonnegative exponent)",
+    ),
+    (
+        parse_polynomial,
+        "x + 3x^10001",
+        "offset 7: exponent exceeds the supported maximum of 10000",
+    ),
+    (parse_polynomial, "x^2 -", "offset 5: expected a term (expected an integer, a variable)"),
+    (
+        parse_polynomial,
+        "x + y",
+        "offset 4: inconsistent variable 'y', the input already uses 'x'",
+    ),
+    (parse_polynomial, "2x^2 + x^2 - 3x^2", "offset 0: input combines to the zero polynomial"),
+    (parse_rational_list, "1,,2", "offset 2: expected a rational number"),
+    (parse_rational_list, "1 2", "offset 2: expected ',' (expected ',')"),
+    (parse_polynomial, "2 3 $", "offset 4: unexpected character '$'"),
+    (parse_rational_list, "1 2 " + "9" * 4301, "offset 4: integer has more than 4300 digits"),
+]
+
+
+@pytest.mark.parametrize(
+    ("entry", "text", "expected"),
+    DIAGNOSTICS,
+    ids=[f"{entry.__name__}:{text[:12]!r}" for entry, text, _ in DIAGNOSTICS],
+)
+def test_every_diagnostic_exactly(entry, text, expected):
+    assert str(diagnostic_of(entry, text)) == expected
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
