@@ -79,33 +79,9 @@ class Polynomial:
             return self
         return Polynomial([c / lead for c in self.coefficients])
 
-    def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self.coefficients])
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        return Polynomial(
-            a + b
-            for a, b in itertools.zip_longest(
-                self.coefficients, other.coefficients, fillvalue=Fraction(0)
-            )
-        )
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, Polynomial):
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        scale = Fraction(other)
+    def __mul__(self, scale: Fraction | int) -> Polynomial:
+        scale = Fraction(scale)
         return Polynomial([c * scale for c in self.coefficients])
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         """Canonical text: descending powers, explicit signs, "num/den"
