@@ -35,12 +35,17 @@ from .newton import (
 )
 from .series import DescendingSeries, cross_multiplied_check, log_derivative_power_sums
 from .roots import power_sums_direct, truncation_report, verify_by_substitution
-from .parser import ParseError, parse_polynomial, parse_rational_list
+from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_INTERNAL = 3
+
+# The highest power sum index a command computes, checked before any work
+# starts. It bounds how many values are computed, not their size: the bits
+# per value also grow with the coefficients and have no budget.
+MAX_K = 100_000
 
 _GRAMMAR_HELP = """\
 polynomial grammar:
@@ -72,6 +77,11 @@ class _UsageError(Exception):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise _UsageError(message)
+
+
+def _require_k(args: argparse.Namespace) -> None:
+    _require(args.k >= 0, "--k must be nonnegative")
+    _require(args.k <= MAX_K, f"--k must be at most {MAX_K}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -108,7 +118,7 @@ def _sums_text(payload: dict, symbol: str = "p") -> str:
 
 
 def _cmd_powersums(args: argparse.Namespace) -> _Result:
-    _require(args.k >= 0, "--k must be nonnegative")
+    _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = power_sums_from_coeffs(to_signed(poly), args.k)
     return _sums_payload(poly.degree, sums, []), _sums_text
@@ -127,7 +137,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_series(args: argparse.Namespace) -> _Result:
-    _require(args.k >= 0, "--k must be nonnegative")
+    _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = log_derivative_power_sums(poly, args.k)
     series = str(DescendingSeries(-1, tuple(sums)))
@@ -135,7 +145,7 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_from_roots(args: argparse.Namespace) -> _Result:
-    _require(args.k >= 0, "--k must be nonnegative")
+    _require_k(args)
     roots = parse_rational_list(args.roots)
     poly = poly_from_roots(roots)
     direct = power_sums_direct(roots, args.k)
@@ -167,7 +177,7 @@ def _grid_lines(grid) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
-    _require(args.k >= 0, "--k must be nonnegative")
+    _require_k(args)
     poly = parse_polynomial(args.poly)
     if args.roots is not None:
         roots = parse_rational_list(args.roots)
@@ -263,7 +273,7 @@ def _cmd_truncate(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_negpowers(args: argparse.Namespace) -> _Result:
-    _require(args.k >= 0, "--k must be nonnegative")
+    _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = negative_power_sums(to_signed(poly), args.k)
     return _sums_payload(poly.degree, sums, []), partial(_sums_text, symbol="q")
@@ -284,6 +294,8 @@ def _bench_text(payload: dict) -> str:
 def _cmd_bench(args: argparse.Namespace) -> _Result:
     _require(args.degree >= 1, "--degree must be at least 1")
     _require(args.k >= 1, "--k must be at least 1")
+    _require(args.degree <= MAX_EXPONENT, f"--degree must be at most {MAX_EXPONENT}")
+    _require(args.k <= MAX_K, f"--k must be at most {MAX_K}")
     rng = random.Random(args.seed)
     coefficients = [rng.randint(-9, 9) for _ in range(args.degree)] + [1]
     poly = Polynomial(coefficients)

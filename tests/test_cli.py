@@ -1,6 +1,9 @@
 """Command behavior, exit codes, and the JSON contract."""
 
 import json
+from operator import itemgetter
+
+import pytest
 
 from rootsums.cli import main
 
@@ -374,3 +377,42 @@ def test_exponent_over_the_cap_exits_one(capsys):
     code, out, err = run(capsys, "powersums", "x^10001", "--k", "0")
     assert (code, out) == (1, "")
     assert err == "parse error: offset 2: exponent exceeds the supported maximum of 10000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powersums", "x - 2"],
+        ["series", "x - 2"],
+        ["from-roots", "2"],
+        ["verify", "x - 2", "--roots", "2"],
+        ["negpowers", "x - 2"],
+        ["bench", "--degree", "1"],
+    ],
+    ids=itemgetter(0),
+)
+def test_k_over_the_cap_exits_one_before_any_route(capsys, monkeypatch, argv):
+    import rootsums.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a route ran before --k was checked")
+
+    for name in (
+        "power_sums_from_coeffs",
+        "log_derivative_power_sums",
+        "cross_multiplied_check",
+        "power_sums_direct",
+        "negative_power_sums",
+    ):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, *argv, "--k", str(cli.MAX_K + 1))
+    assert (code, out) == (1, "")
+    assert err == "error: --k must be at most 100000\n"
+    with pytest.raises(AssertionError, match="a route ran"):
+        main([*argv, "--k", str(cli.MAX_K)])
+
+
+def test_bench_degree_over_the_cap_exits_one(capsys):
+    code, out, err = run(capsys, "bench", "--degree", "10001", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: --degree must be at most 10000\n"
