@@ -312,6 +312,44 @@ def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
         "cross-multiplied identity": False,
     }
 
+    failures = (
+        "recurrence-series agreement  FAIL  p2: 5 != 6\n"
+        "cross-multiplied identity    FAIL  x^-1: residual 1\n"
+    )
+    assert run(capsys, "verify", "x^2 - 3x + 2", "--k", "6") == (2, failures, "")
+    code, out, err = run(capsys, "verify", "x^2 - 3x + 2", "--roots", "1,2", "--k", "6")
+    assert (code, err) == (2, "")
+    assert out == failures + (
+        "root substitution            pass\n"
+        "  p(1)  0\n"
+        "  p(2)  0\n"
+        "collected window identities  pass\n"
+        "  k=2  0\n"
+        "  k=3  0\n"
+        "  k=4  0\n"
+        "  k=5  0\n"
+        "  k=6  0\n"
+        "truncation grid              pass\n"
+        "  deg  p1  p2\n"
+        "  1     =\n"
+        "  2     =   =\n"
+    )
+
+
+def test_verify_json_builds_no_text_tables(capsys, monkeypatch):
+    import rootsums.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("a text table was built for --json")
+
+    for name in ("_residual_table", "_grid_lines", "_sums_text"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, payload, _ = run_json(
+        capsys, "verify", "x^2 - 3x + 2", "--roots", "1,2", "--k", "4"
+    )
+    assert code == 0
+    assert len(payload["checks"]) == 5
+
 
 def test_overlong_literal_is_a_parse_error(capsys):
     code, out, err = run(capsys, "powersums", "1" * 4301 + "x + 1", "--k", "1")
