@@ -108,13 +108,16 @@ def _sums_payload(
     }
 
 
+def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> list[str]:
+    """Two aligned columns: keys to the left, values to the right."""
+    key_width = max(len(k) for k, _ in rows)
+    value_width = max(len(v) for _, v in rows)
+    return [f"{indent}{k:<{key_width}}{separator}{v:>{value_width}}" for k, v in rows]
+
+
 def _sums_text(payload: dict, symbol: str = "p") -> str:
-    values = payload["power_sums"]
-    index_width = len(str(len(values) - 1))
-    value_width = max(map(len, values))
-    return "\n".join(
-        f"{symbol}{k:<{index_width}} = {v:>{value_width}}" for k, v in enumerate(values)
-    )
+    rows = [(f"{symbol}{k}", v) for k, v in enumerate(payload["power_sums"])]
+    return "\n".join(_table(rows, " = "))
 
 
 def _cmd_powersums(args: argparse.Namespace) -> _Result:
@@ -158,12 +161,6 @@ def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     return payload, lambda p: p["polynomial"] + "\n" + _sums_text(p)
 
 
-def _residual_table(rows: list[tuple[str, str]]) -> list[str]:
-    key_width = max(len(k) for k, _ in rows)
-    value_width = max(len(v) for _, v in rows)
-    return [f"  {k:<{key_width}}  {v:>{value_width}}" for k, v in rows]
-
-
 def _grid_lines(grid) -> list[str]:
     # Aligned equality marks: one row per truncation degree k = 1..n, in
     # the report's order, with a column for each p_j, j <= k.
@@ -186,79 +183,71 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             "--k must be at least the polynomial degree when --roots is given",
         )
 
-    recurrence = power_sums_from_coeffs(to_signed(poly), args.k)
+    signed = to_signed(poly)
+    recurrence = power_sums_from_coeffs(signed, args.k)
     series_sums = log_derivative_power_sums(poly, args.k)
     cross = cross_multiplied_check(
         poly, args.k, series=DescendingSeries(-1, tuple(series_sums))
     )
-    # Each residual is the first failure found, or None when the check passes.
-    bad_sum = next(
-        (
-            f"p{k}: {a} != {b}"
-            for k, (a, b) in enumerate(zip(recurrence, series_sums))
-            if a != b
-        ),
-        None,
-    )
-    bad = cross.first_nonzero()
+    # Each check: name, failures (the first is its residual), lazy text table.
     checks = [
-        _check("recurrence-series agreement", bad_sum),
-        _check(
+        (
+            "recurrence-series agreement",
+            (
+                f"p{k}: {a} != {b}"
+                for k, (a, b) in enumerate(zip(recurrence, series_sums))
+                if a != b
+            ),
+            list,
+        ),
+        (
             "cross-multiplied identity",
-            None if bad is None else f"x^{bad[0]}: residual {bad[1]}",
+            (f"x^{e}: residual {v}" for e, v in cross.residuals if v != 0),
+            list,
         ),
     ]
-
     if args.roots is not None:
-        substitution = verify_by_substitution(poly, roots, args.k)
-        bad_root = next(
-            (f"p({r}) = {v}" for r, v in substitution.root_residuals if v != 0), None
-        )
-        bad_window = next(
-            (f"k={k}: residual {v}" for k, v in substitution.window_residuals if v != 0),
-            None,
-        )
+        subst = verify_by_substitution(poly, roots, args.k)
         # k >= degree >= 1 here (degree 0 fails in the series route), so
         # the grid covers every truncation degree and is never empty.
-        grid = truncation_report(to_signed(poly), roots, poly.degree)
-        bad_cell = next(
-            (
-                f"degree {c.degree}, p{c.index}: {c.truncated} != {c.direct}"
-                for c in grid.cells
-                if not c.equal
-            ),
-            None,
-        )
+        grid = truncation_report(signed, roots, poly.degree)
         checks += [
-            _check("root substitution", bad_root),
-            _check("collected window identities", bad_window),
-            _check("truncation grid", bad_cell),
+            (
+                "root substitution",
+                (f"p({r}) = {v}" for r, v in subst.root_residuals if v != 0),
+                lambda: _table(
+                    [(f"p({r})", str(v)) for r, v in subst.root_residuals], "  ", "  "
+                ),
+            ),
+            (
+                "collected window identities",
+                (f"k={k}: residual {v}" for k, v in subst.window_residuals if v != 0),
+                lambda: _table(
+                    [(f"k={k}", str(v)) for k, v in subst.window_residuals], "  ", "  "
+                ),
+            ),
+            (
+                "truncation grid",
+                (
+                    f"degree {c.degree}, p{c.index}: {c.truncated} != {c.direct}"
+                    for c in grid.cells
+                    if not c.equal
+                ),
+                partial(_grid_lines, grid),
+            ),
         ]
 
     def render(payload: dict) -> str:
-        details = {}
-        if args.roots is not None:
-            details = {
-                "root substitution": _residual_table(
-                    [(f"p({r})", str(v)) for r, v in substitution.root_residuals]
-                ),
-                "collected window identities": _residual_table(
-                    [(f"k={k}", str(v)) for k, v in substitution.window_residuals]
-                ),
-                "truncation grid": _grid_lines(grid),
-            }
         width = max(len(c["name"]) for c in payload["checks"])
         lines = []
-        for c in payload["checks"]:
+        for c, (_, _, table) in zip(payload["checks"], checks):
             status = "pass" if c["pass"] else "FAIL"
-            line = f"{c['name']:<{width}}  {status}"
-            if c["residual"]:
-                line += f"  {c['residual']}"
-            lines.append(line)
-            lines.extend(details.get(c["name"], ()))
+            residual = f"  {c['residual']}" if c["residual"] else ""
+            lines += [f"{c['name']:<{width}}  {status}{residual}", *table()]
         return "\n".join(lines)
 
-    return _sums_payload(poly.degree, recurrence, checks), render
+    results = [_check(name, next(failures, None)) for name, failures, _ in checks]
+    return _sums_payload(poly.degree, recurrence, results), render
 
 
 def _cmd_truncate(args: argparse.Namespace) -> _Result:

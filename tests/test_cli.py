@@ -342,7 +342,7 @@ def test_verify_json_builds_no_text_tables(capsys, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("a text table was built for --json")
 
-    for name in ("_residual_table", "_grid_lines", "_sums_text"):
+    for name in ("_table", "_grid_lines", "_sums_text"):
         monkeypatch.setattr(cli, name, must_not_run)
     code, payload, _ = run_json(
         capsys, "verify", "x^2 - 3x + 2", "--roots", "1,2", "--k", "4"
