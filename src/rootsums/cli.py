@@ -6,10 +6,11 @@ as a JSON object in which every rational is a "num/den" string (JSON
 numbers would be lossy), otherwise it is rendered as a human-readable
 table.
 
-Exit codes: 1 usage or parse error, 2 mathematical domain error,
-3 internal cross-route disagreement (never expected). Otherwise the
-exit code comes from the payload's ``checks``: 2 if any verification
-check failed, 0 if all passed.
+Exit codes: 1 usage or parse error, or a request too large to hold in
+memory, 2 mathematical domain error, 3 internal cross-route
+disagreement (never expected). Otherwise the exit code comes from the
+payload's ``checks``: 2 if any verification check failed, 0 if all
+passed.
 """
 
 from __future__ import annotations
@@ -403,6 +404,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(payload) if args.json else render(payload))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # The caps bound how many values a request computes, not their bits.
+        print("error: not enough memory for this request", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as err:
         print(f"parse error: {err.diagnostic}", file=sys.stderr)

@@ -454,3 +454,37 @@ def test_bench_degree_over_the_cap_exits_one(capsys):
     code, out, err = run(capsys, "bench", "--degree", "10001", "--k", "1")
     assert (code, out) == (1, "")
     assert err == "error: --degree must be at most 10000\n"
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    import rootsums.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "power_sums_from_coeffs", exhausted)
+    code, out, err = run(capsys, "powersums", "x - 2", "--k", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: not enough memory for this request\n"
+
+
+def test_out_of_memory_under_an_address_space_limit_is_not_a_traceback():
+    import subprocess
+    import sys
+
+    pytest.importorskip("resource")
+    # The limit is set inside the child only; ~30*k^2/2 bits of results
+    # cannot fit in 400 MiB.
+    script = (
+        "import resource, sys\n"
+        "limit = 400 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from rootsums.cli import main\n"
+        "sys.exit(main(['powersums', 'x - 1073741824', '--k', '100000']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: not enough memory for this request\n"
