@@ -147,4 +147,6 @@ def test_series_accessors_and_rendering():
     with pytest.raises(ValueError):
         series.coefficient(-4)  # below the truncation: unknown, not zero
     assert str(series) == "2/x + 3/x^2 + (5/6)/x^3"
+    zero_product = multiply_by_polynomial(series, Polynomial([0]))
+    assert str(zero_product) == "0/x + 0/x^2 + 0/x^3"
     assert str(DescendingSeries(1, (F(5), F(0), F(-2)))) == "5x + 0 - 2/x"
