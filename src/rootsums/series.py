@@ -167,8 +167,6 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     start+deg(poly)-K+1 are fully determined.
     """
     zero = Fraction(0)
-    if poly.is_zero:
-        return DescendingSeries(series.start_exponent, (zero,) * series.order)
     n = poly.degree
     out: list[Fraction] = []
     for u in range(series.order):
