@@ -26,8 +26,10 @@ turns the polynomial into the monic integer polynomial with signed
 coefficients L^i*a_i, whose roots are L times the original roots. Its
 power sums P_k are integers, and p_k = P_k / L^k is built as a reduced
 ``Fraction`` only on the way out. The direct summation over roots and
-the substitution checks in :mod:`rootsums.roots` stay on unscaled
-``Fraction`` arithmetic, an oracle independent of that scaling.
+the substitution checks in :mod:`rootsums.roots` run in ``int`` too,
+but scaled by B**k, with B the lcm of the root denominators, and by the
+lcm of the coefficients' denominators; they never use this L, so they
+stay an oracle independent of it.
 """
 
 from __future__ import annotations

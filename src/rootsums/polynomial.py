@@ -163,6 +163,16 @@ def from_signed(s: SignedCoefficients) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times S as ints, and S, the lcm of their denominators.
+
+    The checks in :mod:`rootsums.series` and :mod:`rootsums.roots` scale
+    each identity by such an S, taken from the values they are handed.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def poly_from_roots(roots: RootMultiset) -> Polynomial:
     """Monic polynomial with exactly the given roots: prod of (x - r)."""
     if not roots:

@@ -9,15 +9,45 @@ CLI renders the full table.
 Roots are exact rationals only. The identities hold for arbitrary
 roots, but exactness of the comparison is what makes this module a
 usable cross-check.
+
+Every loop here runs in ``int``, scaled from this module's own inputs
+and never by the L the recurrence and the series clear denominators
+with. The roots are written a_i/B, B the lcm of their denominators, so
+p_k is (sum of a_i**k) / B**k. A window identity is multiplied by B**k
+and by the lcm of the signed coefficients' denominators; a root
+residual p(a/b) by b**n and by the lcm of p's denominators. Multiplying
+an identity by a nonzero integer keeps a zero exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .polynomial import Polynomial, RootMultiset, SignedCoefficients, to_signed
+from .polynomial import (
+    Polynomial,
+    RootMultiset,
+    SignedCoefficients,
+    clear_denominators,
+    to_signed,
+)
 from .newton import power_sums_from_coeffs
+
+
+def _integer_sums(roots: RootMultiset, k_max: int) -> tuple[list[int], int]:
+    """S_0..S_k_max with S_k = sum of a_i**k, and B, for roots a_i/B.
+
+    B is the lcm of the root denominators, so every a_i is an integer
+    and p_k = S_k / B**k.
+    """
+    numerators, scale = clear_denominators([Fraction(r) for r in roots])
+    sums = [len(numerators)]
+    powers = [1] * len(numerators)
+    for _ in range(k_max):
+        powers = list(map(mul, powers, numerators))
+        sums.append(sum(powers))
+    return sums, scale
 
 
 def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
@@ -27,14 +57,13 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    values = [Fraction(r) for r in roots]
-    sums: list[Fraction] = [Fraction(len(values))]
-    powers = [Fraction(1)] * len(values)
-    for _ in range(k_max):
-        for i, r in enumerate(values):
-            powers[i] *= r
-        sums.append(sum(powers, start=Fraction(0)))
-    return sums
+    sums, scale = _integer_sums(roots, k_max)
+    out = []
+    power = 1
+    for s in sums:
+        out.append(Fraction(s, power))
+        power *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,16 +101,29 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     if k_max < n:
         raise ValueError("k_max must be at least the degree")
     signed = to_signed(p)
-    direct = power_sums_direct(roots, k_max)
-    root_residuals = tuple((Fraction(r), p.evaluate(r)) for r in roots)
+    # p(a/b) times M*b**n, with M the lcm of p's denominators: Horner's
+    # scheme on the homogenized polynomial, every step an int.
+    descending, p_scale = clear_denominators(p.coefficients[::-1])
+    root_residuals = []
+    for r in map(Fraction, roots):
+        acc, b_power = 0, 1
+        for c in descending:
+            acc = acc * r.numerator + c * b_power
+            b_power *= r.denominator
+        root_residuals.append((r, Fraction(acc, p_scale * r.denominator**n)))
+    # Identity k times B**k and A, the lcm of the signed coefficients'
+    # denominators: A*S_k + w_1*S_(k-1) + ... + w_n*S_(k-n), with
+    # w_i = (-1)^i * A * a_i * B**i. Every term is an int.
+    sums, scale = _integer_sums(roots, k_max)
+    cleared, coeff_scale = clear_denominators(signed.values)
+    weights = [(-c if i % 2 else c) * scale**i for i, c in enumerate(cleared, start=1)]
     window_residuals = []
+    power = scale**n
     for k in range(n, k_max + 1):
-        acc = direct[k]
-        for i in range(1, n + 1):
-            term = signed.values[i - 1] * direct[k - i]
-            acc = acc - term if i % 2 == 1 else acc + term
-        window_residuals.append((k, acc))
-    return SubstitutionReport(root_residuals, tuple(window_residuals))
+        acc = coeff_scale * sums[k] + sum(map(mul, weights, reversed(sums[k - n : k])))
+        window_residuals.append((k, Fraction(acc, coeff_scale * power)))
+        power *= scale
+    return SubstitutionReport(tuple(root_residuals), tuple(window_residuals))
 
 
 @dataclass(frozen=True)

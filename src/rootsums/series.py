@@ -19,8 +19,10 @@ The division clears denominators once (x -> x/L, see
 :func:`divide_descending`) and runs in plain ``int``; the series it
 returns holds reduced ``Fraction`` coefficients. It computes its own L,
 sharing no code with the recurrence. Multiplying the series back by p
-in :func:`cross_multiplied_check` stays on unscaled ``Fraction``
-arithmetic, so that check does not rely on the scaling it verifies.
+in :func:`cross_multiplied_check` runs in ``int`` as well, times D*M:
+D is the lcm of the denominators of the series it is handed and M that
+of p's coefficients. It never uses L, so that check does not rely on
+the scaling it verifies.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -159,27 +161,32 @@ def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
     return list(series.terms)
 
 
+def _product(terms: list[int], coeffs: list[int]) -> list[int]:
+    """Truncated product of integer series terms and ascending coefficients.
+
+    Entry u collects coeffs[j] * terms[u + j - n] over the j that reach a
+    known series term, so the product keeps as many terms as the series.
+    """
+    n = len(coeffs) - 1
+    return [
+        sum(map(mul, coeffs[max(0, n - u) :], terms[max(0, u - n) : u + 1]))
+        for u in range(len(terms))
+    ]
+
+
 def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> DescendingSeries:
     """Truncated product series * poly.
 
     The product keeps as many terms as the series carries: with K known
     series coefficients, exponents from start+deg(poly) down through
-    start+deg(poly)-K+1 are fully determined.
+    start+deg(poly)-K+1 are fully determined. It is formed in ``int``
+    as (D * series) * (M * poly), with D and M the lcms of the series'
+    and poly's denominators, and divided by D*M on the way out.
     """
-    zero = Fraction(0)
-    n = poly.degree
-    out: list[Fraction] = []
-    for u in range(series.order):
-        acc = zero
-        for j, c in enumerate(poly.coefficients):
-            if c == 0:
-                continue
-            idx = u + j - n  # series term index feeding exponent (start+n-u)
-            if idx < 0:
-                continue  # above the series start, coefficient zero
-            acc += c * series.terms[idx]
-        out.append(acc)
-    return DescendingSeries(series.start_exponent + n, tuple(out))
+    terms, d = clear_denominators(series.terms)
+    coeffs, m = clear_denominators(poly.coefficients)
+    product = tuple(Fraction(v, d * m) for v in _product(terms, coeffs))
+    return DescendingSeries(series.start_exponent + poly.degree, product)
 
 
 @dataclass(frozen=True)
@@ -216,13 +223,15 @@ def cross_multiplied_check(
         raise ValueError("k_max must be nonnegative")
     if series is None:
         series = divide_descending(p.derivative(), p, k_max + 1)
-    product = multiply_by_polynomial(series, p)
-    deriv = p.derivative()
+    # The identity times D*M, with D and M the lcms of the series' and of
+    # p's denominators: every term is an int and a zero stays exactly zero.
+    terms, d = clear_denominators(series.terms)
+    coeffs, m = clear_denominators(p.coefficients)
+    start = series.start_exponent + p.degree
     residuals: list[tuple[int, Fraction]] = []
-    for j, value in enumerate(product.terms):
-        exponent = product.start_exponent - j
-        expected = (
-            deriv.coefficients[exponent] if 0 <= exponent <= deriv.degree else 0
-        )
-        residuals.append((exponent, value - expected))
+    for j, value in enumerate(_product(terms, coeffs)):
+        exponent = start - j
+        if 0 <= exponent < p.degree:
+            value -= (exponent + 1) * coeffs[exponent + 1] * d  # D*M times p'
+        residuals.append((exponent, Fraction(value, d * m)))
     return CrossCheckReport(tuple(residuals))
