@@ -23,7 +23,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
@@ -389,13 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True, help="highest power sum index")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
 
+    # A fixed usage text: argparse 3.13 wraps the generated one differently
+    # from 3.10-3.12. Set after add_subparsers, which builds each
+    # subcommand's prog from the generated usage.
+    indent = "\n" + " " * len("usage: rootsums ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(commands.choices)}}}{indent}..."
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

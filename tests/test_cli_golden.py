@@ -32,3 +32,28 @@ def test_cli_response_matches_the_recording(case, capsys, monkeypatch):
     assert code == case["code"]
     assert mask_timings(captured.out) == case["out"]
     assert captured.err == case["err"]
+
+
+def test_one_parser_serves_requests_in_turn(capsys, monkeypatch):
+    # main() builds the argparse tree once per process; a parse must leave
+    # no state behind for the next request, a failed one included.
+    import rootsums.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    by_argv = {tuple(c["argv"]): c for c in CASES}
+    for argv in (
+        ("powersums", "x^2 - 3x + 2", "--k", "3"),
+        ("verify", "x^2 - 3x + 2", "--roots", "1,3", "--k", "4", "--json"),
+        ("powersums", "x^2"),
+        ("frobnicate",),
+        ("powersums", "x^2 - 3x + 2", "--k", "3"),
+    ):
+        case = by_argv[argv]
+        assert main(list(argv)) == case["code"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["out"], case["err"])
+    assert len(built) == 1
