@@ -64,7 +64,7 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fract
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     n = signed.degree
-    scale = math.lcm(*(a.denominator for a in signed.values))
+    scale = math.lcm(*[a.denominator for a in signed.values])
     # weights[i-1] = (-1)^(i-1) * L^i * a_i, an integer since den(a_i) divides L.
     weights = [
         (a.numerator if i % 2 else -a.numerator) * (scale // a.denominator) * scale ** (i - 1)
@@ -112,7 +112,7 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
     weights: list[Fraction] = []  # (-1)^(k-1) * a_k
     for k in range(1, degree + 1):
         weights.append((sums[k] - _window(weights, sums, k, k - 1)) / k)
-    values = (w if k % 2 else -w for k, w in enumerate(weights, start=1))
+    values = [w if k % 2 else -w for k, w in enumerate(weights, start=1)]
     return SignedCoefficients(degree, tuple(values))
 
 

@@ -11,6 +11,12 @@ polynomial x^n - a1*x^(n-1) + a2*x^(n-2) - ... ± an, in which entry a_k
 equals the k-th elementary symmetric function of the roots. Non-monic
 input is accepted everywhere and normalized by dividing through by the
 leading coefficient, which leaves the roots unchanged.
+
+Tuples and star-arguments on a request's path are built from lists,
+never from generators. CPython sizes a tuple built from a generator by
+a guess and then resizes it, so the freed tuple lands in another size's
+free list; in a process that serves many requests those free lists
+fill up to their cap, about 2.5 MB that is never given back.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class SignedCoefficients:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        coerced = tuple(Fraction(v) for v in self.values)
+        coerced = tuple([Fraction(v) for v in self.values])
         if len(coerced) != self.degree:
             raise ValueError(
                 f"expected {self.degree} signed coefficients, got {len(coerced)}"
@@ -169,7 +175,7 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     The checks in :mod:`rootsums.series` and :mod:`rootsums.roots` scale
     each identity by such an S, taken from the values they are handed.
     """
-    scale = math.lcm(*(v.denominator for v in values))
+    scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 

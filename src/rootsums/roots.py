@@ -58,12 +58,7 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     sums, scale = _integer_sums(roots, k_max)
-    out = []
-    power = 1
-    for s in sums:
-        out.append(Fraction(s, power))
-        power *= scale
-    return out
+    return [Fraction(s, scale**k) for k, s in enumerate(sums)]
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,9 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     cleared, coeff_scale = clear_denominators(signed.values)
     weights = [(-c if i % 2 else c) * scale**i for i, c in enumerate(cleared, start=1)]
     window_residuals = []
-    power = scale**n
     for k in range(n, k_max + 1):
         acc = coeff_scale * sums[k] + sum(map(mul, weights, reversed(sums[k - n : k])))
-        window_residuals.append((k, Fraction(acc, coeff_scale * power)))
-        power *= scale
+        window_residuals.append((k, Fraction(acc, coeff_scale * scale**k)))
     return SubstitutionReport(tuple(root_residuals), tuple(window_residuals))
 
 

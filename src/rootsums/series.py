@@ -49,7 +49,8 @@ class DescendingSeries:
     terms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
+        # From a list, as in rootsums.polynomial: a resized tuple fills free lists.
+        object.__setattr__(self, "terms", tuple([Fraction(t) for t in self.terms]))
         if not self.terms:
             raise ValueError("a series carries at least one term")
 
@@ -116,7 +117,7 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     lead = denominator.leading_coefficient
     den = [d / lead for d in denominator.coefficients[:-1]]
     num = [c / lead for c in numerator.coefficients]
-    scale = math.lcm(*(c.denominator for c in den + num))
+    scale = math.lcm(*[c.denominator for c in den + num])
 
     def scaled(coeffs):
         # Coefficient i of Q or N' is L^(n-i) times the monic one; every
@@ -185,7 +186,7 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     """
     terms, d = clear_denominators(series.terms)
     coeffs, m = clear_denominators(poly.coefficients)
-    product = tuple(Fraction(v, d * m) for v in _product(terms, coeffs))
+    product = tuple([Fraction(v, d * m) for v in _product(terms, coeffs)])
     return DescendingSeries(series.start_exponent + poly.degree, product)
 
 
