@@ -16,7 +16,8 @@ Tuples and star-arguments on a request's path are built from lists,
 never from generators. CPython sizes a tuple built from a generator by
 a guess and then resizes it, so the freed tuple lands in another size's
 free list; in a process that serves many requests those free lists
-fill up to their cap, about 2.5 MB that is never given back.
+fill up to their cap, about 2.5 MB held until the cyclic garbage
+collector's next full pass, which may not come for a long time.
 """
 
 from __future__ import annotations

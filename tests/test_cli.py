@@ -488,3 +488,38 @@ def test_out_of_memory_under_an_address_space_limit_is_not_a_traceback():
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: not enough memory for this request\n"
+
+
+def test_requests_served_in_one_process_leave_no_memory_behind(capsys):
+    # A tuple built from a generator is resized, and the freed tuple lands
+    # in another size's free list, where it stays allocated; the cyclic
+    # collector is off, as between its rare full passes.
+    import gc
+    import sys
+
+    requests = [
+        ["verify", "x^3 - 1/2x + 1/3", "--roots", "1,2,3", "--k", "12"],
+        ["series", "2x^2 + 1/3x - 5", "--k", "9", "--json"],
+        ["from-roots", "1/2,1/3,5", "--k", "7"],
+        ["negpowers", "x^2 - 3x + 2", "--k", "9"],
+        ["coeffs", "--n", "3", "--powersums", "6,14,36"],
+    ]
+
+    def serve(passes):
+        for _ in range(passes):
+            for argv in requests:
+                main(argv)
+            capsys.readouterr()
+
+    serve(50)  # fills the caches that a first request fills
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        serve(200)
+        growth = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    # Measured on Python 3.10-3.13: at most 255 blocks, against ~4,700
+    # when the tuples of a request are built from generators.
+    assert growth < 1000
