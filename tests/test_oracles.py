@@ -3,11 +3,12 @@
 The checks that judge the kernels run in int, each scaled from its own
 inputs: the multiply-back by D*M (the lcms of the series' and of p's
 denominators), the direct sums by B**k (B the lcm of the root
-denominators), the root and window residuals by the same B and by the
-lcm of p's or of the signed coefficients' denominators. These
-properties use large denominators, non-monic leading coefficients and
-wrong inputs, so the scales are large and nonzero residuals must come
-out exactly as the plain Fraction loops give them.
+denominators), the window residuals by B**k and the lcm of the signed
+coefficients' denominators, and each root residual p(a/b) by b**n and
+the lcm of p's denominators. These properties use large denominators,
+non-monic leading coefficients and wrong inputs, so the scales are
+large and nonzero residuals must come out exactly as the plain
+Fraction loops give them.
 """
 
 import math
