@@ -38,6 +38,7 @@ from .series import (
     CrossCheckReport,
     DescendingSeries,
     cross_multiplied_check,
+    descending_text,
     divide_descending,
     log_derivative_power_sums,
     multiply_by_polynomial,
@@ -79,6 +80,7 @@ __all__ = [
     "CrossCheckReport",
     "DescendingSeries",
     "cross_multiplied_check",
+    "descending_text",
     "divide_descending",
     "log_derivative_power_sums",
     "multiply_by_polynomial",

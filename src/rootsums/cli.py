@@ -34,7 +34,12 @@ from .newton import (
     negative_power_sums,
     power_sums_from_coeffs,
 )
-from .series import DescendingSeries, cross_multiplied_check, log_derivative_power_sums
+from .series import (
+    DescendingSeries,
+    cross_multiplied_check,
+    descending_text,
+    log_derivative_power_sums,
+)
 from .roots import power_sums_direct, truncation_report, verify_by_substitution
 from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
 
@@ -144,8 +149,10 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = log_derivative_power_sums(poly, args.k)
-    series = str(DescendingSeries(-1, tuple(sums)))
-    return _sums_payload(poly.degree, sums, [], series=series), itemgetter("series")
+    payload = _sums_payload(poly.degree, sums, [])
+    # The series text reuses the power sums' strings: each value is printed once.
+    payload["series"] = descending_text(-1, payload["power_sums"])
+    return payload, itemgetter("series")
 
 
 def _cmd_from_roots(args: argparse.Namespace) -> _Result:

@@ -23,6 +23,11 @@ in :func:`cross_multiplied_check` runs in ``int`` as well, times D*M:
 D is the lcm of the denominators of the series it is handed and M that
 of p's coefficients. It never uses L, so that check does not rely on
 the scaling it verifies.
+
+A series is rendered as text by :func:`descending_text`, from its
+coefficients' "num/den" strings. ``DescendingSeries.__str__`` and the
+``series`` command both use it; the command passes the power sums'
+strings it has already built, so each value is printed once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
+from typing import Sequence
 
 from .polynomial import Polynomial, clear_denominators
 
@@ -49,8 +55,10 @@ class DescendingSeries:
     terms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # Exact Fractions are kept as they are; anything else is converted.
         # From a list, as in rootsums.polynomial: a resized tuple fills free lists.
-        object.__setattr__(self, "terms", tuple([Fraction(t) for t in self.terms]))
+        terms = [t if type(t) is Fraction else Fraction(t) for t in self.terms]
+        object.__setattr__(self, "terms", tuple(terms))
         if not self.terms:
             raise ValueError("a series carries at least one term")
 
@@ -68,24 +76,36 @@ class DescendingSeries:
         return self.terms[j]
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for j, c in enumerate(self.terms):
-            exponent = self.start_exponent - j
-            mag = abs(c)
-            num = str(mag) if mag.denominator == 1 else f"({mag})"
-            if exponent < 0:
-                den = "x" if exponent == -1 else f"x^{-exponent}"
-                body = f"{num}/{den}"
-            elif exponent == 0:
-                body = num
-            else:
-                var = "x" if exponent == 1 else f"x^{exponent}"
-                body = f"{num}{var}"
-            if not parts:
-                parts.append(body if c >= 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c >= 0 else f" - {body}")
-        return "".join(parts)
+        return descending_text(self.start_exponent, [str(t) for t in self.terms])
+
+
+def descending_text(start_exponent: int, coefficients: Sequence[str]) -> str:
+    """Render a descending series from its coefficients' "num/den" strings.
+
+    ``coefficients[j]`` is ``str()`` of the coefficient of
+    x**(start_exponent - j): a leading "-" gives the sign, and a "/"
+    puts the magnitude in parentheses. Taking strings lets a caller
+    that already printed the values reuse them.
+    """
+    parts: list[str] = []
+    for j, c in enumerate(coefficients):
+        exponent = start_exponent - j
+        negative = c.startswith("-")
+        mag = c[1:] if negative else c
+        num = f"({mag})" if "/" in mag else mag
+        if exponent < 0:
+            den = "x" if exponent == -1 else f"x^{-exponent}"
+            body = f"{num}/{den}"
+        elif exponent == 0:
+            body = num
+        else:
+            var = "x" if exponent == 1 else f"x^{exponent}"
+            body = f"{num}{var}"
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts)
 
 
 def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int) -> DescendingSeries:

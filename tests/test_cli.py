@@ -218,6 +218,19 @@ def test_series_json_payload(capsys):
     assert payload["series"] == "2/x + 3/x^2 + 5/x^3 + 9/x^4"
 
 
+def test_series_prints_each_value_once(capsys, monkeypatch):
+    # The series text is built from the power sums' strings, so each of
+    # p0..p5 goes through Fraction.__str__ once, in text mode as in --json.
+    from fractions import Fraction
+
+    calls = []
+    to_text = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or to_text(v))
+    code, out, _ = run(capsys, "series", "x^2 - 3x + 2", "--k", "5")
+    assert (code, out) == (0, "2/x + 3/x^2 + 5/x^3 + 9/x^4 + 17/x^5 + 33/x^6\n")
+    assert len(calls) == 6
+
+
 def test_truncate_json_payload(capsys):
     code, payload, _ = run_json(
         capsys, "truncate", "x^5 - x^4 + 2x^3 - 3x^2 + 4x - 5", "--degree", "2"

@@ -1,5 +1,9 @@
 """Descending-series division and the log-derivative route."""
 
+import contextlib
+import sys
+from operator import mul
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +12,7 @@ from rootsums import (
     ExactScalar,
     Polynomial,
     cross_multiplied_check,
+    descending_text,
     divide_descending,
     log_derivative_power_sums,
     multiply_by_polynomial,
@@ -150,3 +155,72 @@ def test_series_accessors_and_rendering():
     zero_product = multiply_by_polynomial(series, Polynomial([0]))
     assert str(zero_product) == "0/x + 0/x^2 + 0/x^3"
     assert str(DescendingSeries(1, (F(5), F(0), F(-2)))) == "5x + 0 - 2/x"
+
+
+def test_series_keeps_its_fraction_terms():
+    # Exact terms are kept as the same objects; others become Fractions.
+    terms = (F(2, 3), F(-5), F(0))
+    series = DescendingSeries(-1, terms + (7, -1))
+    assert all(kept is given for kept, given in zip(series.terms, terms))
+    assert series.terms[3:] == (F(7), F(-1))
+    assert all(type(t) is F for t in series.terms)
+
+
+def reference_text(series):
+    """The Fraction loop DescendingSeries.__str__ ran before it took strings."""
+    parts = []
+    for j, c in enumerate(series.terms):
+        exponent = series.start_exponent - j
+        mag = abs(c)
+        num = str(mag) if mag.denominator == 1 else f"({mag})"
+        if exponent < 0:
+            den = "x" if exponent == -1 else f"x^{-exponent}"
+            body = f"{num}/{den}"
+        elif exponent == 0:
+            body = num
+        else:
+            var = "x" if exponent == 1 else f"x^{exponent}"
+            body = f"{num}{var}"
+        if not parts:
+            parts.append(body if c >= 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c >= 0 else f" - {body}")
+    return "".join(parts)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+signs = st.sampled_from([1, -1])
+# 10**4300 + low has 4,301 digits: past CPython's default int-to-str limit.
+huge = st.builds(
+    lambda digits, low: 10**digits + low,
+    st.integers(min_value=4300, max_value=4400),
+    st.integers(min_value=0, max_value=10**6),
+)
+magnitudes = st.one_of(
+    st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=10**6), huge
+)
+series_terms = st.one_of(
+    st.builds(mul, signs, magnitudes),
+    st.builds(lambda s, n, d: s * F(n, d), signs, magnitudes, magnitudes.filter(bool)),
+)
+
+
+@given(
+    st.integers(min_value=-3, max_value=3),
+    st.lists(series_terms, min_size=1, max_size=8),
+)
+def test_rendering_from_strings_matches_the_fraction_loop(start, terms):
+    series = DescendingSeries(start, tuple(terms))
+    with unlimited_int_digits():
+        expected = reference_text(series)
+        assert str(series) == expected
+        assert descending_text(start, [str(t) for t in terms]) == expected
