@@ -38,7 +38,6 @@ from .series import (
     CrossCheckReport,
     DescendingSeries,
     cross_multiplied_check,
-    descending_text,
     divide_descending,
     log_derivative_power_sums,
     multiply_by_polynomial,
@@ -80,7 +79,6 @@ __all__ = [
     "CrossCheckReport",
     "DescendingSeries",
     "cross_multiplied_check",
-    "descending_text",
     "divide_descending",
     "log_derivative_power_sums",
     "multiply_by_polynomial",

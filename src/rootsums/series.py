@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Sequence
 
 from .polynomial import Polynomial, clear_denominators
 
@@ -55,7 +54,7 @@ class DescendingSeries:
     terms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        # Exact Fractions are kept as they are; anything else is converted.
+        # A Fraction is immutable and always reduced, so it is kept, not rebuilt.
         # From a list, as in rootsums.polynomial: a resized tuple fills free lists.
         terms = [t if type(t) is Fraction else Fraction(t) for t in self.terms]
         object.__setattr__(self, "terms", tuple(terms))
@@ -79,7 +78,7 @@ class DescendingSeries:
         return descending_text(self.start_exponent, [str(t) for t in self.terms])
 
 
-def descending_text(start_exponent: int, coefficients: Sequence[str]) -> str:
+def descending_text(start_exponent: int, coefficients: list[str]) -> str:
     """Render a descending series from its coefficients' "num/den" strings.
 
     ``coefficients[j]`` is ``str()`` of the coefficient of

@@ -12,13 +12,13 @@ from rootsums import (
     ExactScalar,
     Polynomial,
     cross_multiplied_check,
-    descending_text,
     divide_descending,
     log_derivative_power_sums,
     multiply_by_polynomial,
     power_sums_from_coeffs,
     to_signed,
 )
+from rootsums.series import descending_text
 
 F = ExactScalar
 
