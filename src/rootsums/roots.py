@@ -11,7 +11,7 @@ roots, but exactness of the comparison is what makes this module a
 usable cross-check.
 
 Every loop here runs in ``int``, scaled from this module's own inputs
-and never by the L the recurrence and the series clear denominators
+and never by the s the recurrence and the series clear denominators
 with. The roots are written a_i/B, B the lcm of their denominators, so
 p_k is (sum of a_i**k) / B**k. A window identity is multiplied by B**k
 and by the lcm of the signed coefficients' denominators; a root

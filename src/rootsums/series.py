@@ -15,13 +15,13 @@ Series support here is only what the expansion needs: truncated division
 in descending powers and truncated multiplication by a polynomial. There
 is no general series ring.
 
-The division clears denominators once (x -> x/L, see
+The division clears denominators once (x -> x/s, see
 :func:`divide_descending`) and runs in plain ``int``; the series it
-returns holds reduced ``Fraction`` coefficients. It computes its own L,
+returns holds reduced ``Fraction`` coefficients. It computes its own s,
 sharing no code with the recurrence. Multiplying the series back by p
 in :func:`cross_multiplied_check` runs in ``int`` as well, times D*M:
 D is the lcm of the denominators of the series it is handed and M that
-of p's coefficients. It never uses L, so that check does not rely on
+of p's coefficients. It never uses s, so that check does not rely on
 the scaling it verifies.
 
 A series is rendered as text by :func:`descending_text`, from its
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
+from .newton import InternalError
 from .polynomial import Polynomial, clear_denominators
 
 
@@ -107,6 +108,25 @@ def descending_text(start_exponent: int, coefficients: list[str]) -> str:
     return "".join(parts)
 
 
+def _scale(den: list[Fraction], num: list[Fraction]) -> int:
+    """A scale s with den(c) dividing s^(n-i) for coefficient i of either list.
+
+    ``den`` holds the n low coefficients of the monic denominator and
+    ``num`` at most n numerator coefficients, lowest first. Greedy in
+    the exponent e = n - i = 1, 2, ...: s takes on the part of den(c)
+    that s^e does not cover yet. No prime's exponent in s ever exceeds
+    its exponent in the lcm of the denominators, so s divides that lcm.
+    """
+    n = len(den)
+    s = 1
+    for e in range(1, n + 1):
+        for coeffs in (den, num):
+            if n - e < len(coeffs):
+                d = coeffs[n - e].denominator
+                s *= d // math.gcd(d, s**e)
+    return s
+
+
 def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int) -> DescendingSeries:
     """Expand numerator/denominator as c_1/x + c_2/x^2 + ... + c_order/x^order.
 
@@ -118,11 +138,16 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     expansion starts at 1/x or lower.
 
     The division runs on plain ``int``. Both polynomials are first
-    divided by the denominator's leading coefficient; with L the lcm of
-    all remaining denominators and n = deg(denominator), substituting
-    x -> x/L and multiplying through by L^n gives a monic integer
-    denominator Q(x) and an integer numerator N'(x). Their quotient
-    series has integer coefficients C_j, and c_j = C_j / L^j.
+    divided by the denominator's leading coefficient. With n =
+    deg(denominator), substituting x -> x/s and multiplying through by
+    s^n turns coefficient i of either into s^(n-i) times itself, so a
+    scale s with each such denominator dividing s^(n-i) gives a monic
+    integer denominator Q(x) and an integer numerator N'(x). Their
+    quotient series has integer coefficients C_j, and c_j = C_j / s^j.
+    :func:`_scale` picks s greedily; it divides the lcm L of those
+    denominators and can be far smaller, though it is not always the
+    smallest sound scale (8 for p'/p with p = x^2 - 1/2x + 1/16, where 4
+    would do).
     """
     if denominator.is_zero:
         raise ZeroDivisionError("series division by the zero polynomial")
@@ -136,15 +161,18 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     lead = denominator.leading_coefficient
     den = [d / lead for d in denominator.coefficients[:-1]]
     num = [c / lead for c in numerator.coefficients]
-    scale = math.lcm(*[c.denominator for c in den + num])
+    scale = _scale(den, num)
+    powers = [scale ** (width - i) for i in range(width)]
 
     def scaled(coeffs):
-        # Coefficient i of Q or N' is L^(n-i) times the monic one; every
-        # i here is below n, so each is an integer.
-        return [
-            c.numerator * (scale // c.denominator) * scale ** (width - 1 - i)
-            for i, c in enumerate(coeffs)
-        ]
+        # Coefficient i of Q or N' is s^(n-i) times the monic one.
+        out = []
+        for c, power in zip(coeffs, powers):
+            factor, rest = divmod(power, c.denominator)
+            if rest:
+                raise InternalError(f"scale {scale} leaves the coefficient {c} fractional")
+            out.append(c.numerator * factor)
+        return out
 
     low = scaled(den)
     work = [0] * order + scaled(num)
@@ -209,6 +237,10 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     return DescendingSeries(series.start_exponent + poly.degree, product)
 
 
+# Every zero residual is this one value; a Fraction is built only for a nonzero one.
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class CrossCheckReport:
     """Residuals of (series for p'/p) * p - p', one per representable exponent."""
@@ -253,5 +285,5 @@ def cross_multiplied_check(
         exponent = start - j
         if 0 <= exponent < p.degree:
             value -= (exponent + 1) * coeffs[exponent + 1] * d  # D*M times p'
-        residuals.append((exponent, Fraction(value, d * m)))
+        residuals.append((exponent, Fraction(value, d * m) if value else _ZERO))
     return CrossCheckReport(tuple(residuals))

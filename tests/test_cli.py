@@ -304,6 +304,18 @@ def test_regime_boundary_disagreement_exits_three(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+@pytest.mark.parametrize("module, command", [("newton", "powersums"), ("series", "series")])
+def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, command):
+    # The sound scale for x^2 - 1/2x + 1/16 is 8; 2 leaves 1/16 * 2^2 fractional.
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"rootsums.{module}"), "_scale", lambda *_: 2)
+    code, out, err = run(capsys, command, "x^2 - 1/2x + 1/16", "--k", "6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
 def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
     # verify hands its one series to the cross-multiplied check, so a bad
     # term must fail both coefficient-only checks.

@@ -1,11 +1,20 @@
 """The integer kernels against unscaled Fraction references, where scaling matters.
 
-Both coefficient-only kernels clear denominators (x -> x/L) and run in
-int. These properties use large denominators and non-monic leading
-coefficients, so L is large and every power of it must cancel exactly.
+Both coefficient-only kernels clear denominators (x -> x/s) and run in
+int, each with its own greedy scale s. These properties use large
+denominators and non-monic leading coefficients, so s is large and
+every power of it must cancel exactly. Roots that share one denominator
+give polynomials whose s is far below L, the lcm of the coefficient
+denominators.
 """
 
+import math
+
+import pytest
 from hypothesis import given, strategies as st
+
+import rootsums.newton as newton
+import rootsums.series as series
 
 from rootsums import (
     DescendingSeries,
@@ -14,6 +23,7 @@ from rootsums import (
     divide_descending,
     log_derivative_power_sums,
     negative_power_sums,
+    parse_polynomial,
     poly_from_roots,
     power_sums_direct,
     power_sums_from_coeffs,
@@ -23,6 +33,11 @@ from rootsums import (
 F = ExactScalar
 
 big_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+shared_denominator_roots = st.builds(
+    lambda nums, q: [F(m, q) for m in nums],
+    st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=10),
+    st.integers(min_value=1, max_value=10**4),
+)
 leading = st.builds(
     lambda sign, p, q: sign * F(p, q),
     st.sampled_from([1, -1]),
@@ -52,7 +67,7 @@ def reference_divide_descending(numerator, denominator, order):
 
 @st.composite
 def scaled_instances(draw):
-    roots = draw(st.lists(big_rationals, min_size=1, max_size=10))
+    roots = draw(st.one_of(st.lists(big_rationals, min_size=1, max_size=10), shared_denominator_roots))
     n = len(roots)
     k_max = draw(st.one_of(st.just(n), st.integers(min_value=0, max_value=3 * n)))
     return roots, poly_from_roots(roots) * draw(leading), k_max
@@ -84,3 +99,51 @@ def test_divide_descending_matches_fraction_long_division(pair, order):
     assert divide_descending(numerator, denominator, order) == reference_divide_descending(
         numerator, denominator, order
     )
+
+
+def monic_parts(numerator, denominator):
+    """The coefficients divide_descending scales: Q's below its leading one, and N'."""
+    lead = denominator.leading_coefficient
+    den = [c / lead for c in denominator.coefficients[:-1]]
+    return den, [c / lead for c in numerator.coefficients]
+
+
+@st.composite
+def rational_polys(draw):
+    """A rational polynomial of degree >= 1, or one whose roots share a denominator."""
+    if draw(st.booleans()):
+        return poly_from_roots(draw(shared_denominator_roots)) * draw(leading)
+    return Polynomial([*draw(st.lists(big_rationals, min_size=1, max_size=10)), draw(leading)])
+
+
+@given(rational_polys())
+def test_recurrence_scale_clears_every_denominator_and_divides_the_lcm(p):
+    values = to_signed(p).values
+    s = newton._scale(values)
+    assert all(s**i % a.denominator == 0 for i, a in enumerate(values, start=1))
+    assert math.lcm(*[a.denominator for a in values]) % s == 0
+
+
+@given(st.one_of(rational_polys().map(lambda p: (p.derivative(), p)), division_pairs()))
+def test_division_scale_clears_every_denominator_and_divides_the_lcm(pair):
+    den, num = monic_parts(*pair)
+    n = len(den)
+    s = series._scale(den, num)
+    for coeffs in (den, num):
+        assert all(s ** (n - i) % c.denominator == 0 for i, c in enumerate(coeffs))
+    assert math.lcm(*[c.denominator for c in den + num]) % s == 0
+
+
+@pytest.mark.parametrize(
+    "p, s, lcm",
+    [
+        (parse_polynomial("x^2 - 1/2x + 1/16"), 8, 16),  # 4 would do: the greedy s is not minimal
+        (poly_from_roots([F(1, 12)] * 6), 24, 12**6),
+        (Polynomial([2, -3, 1]), 1, 1),  # integer input runs unscaled
+    ],
+)
+def test_pinned_scales_in_both_kernels(p, s, lcm):
+    values = to_signed(p).values
+    assert math.lcm(*[a.denominator for a in values]) == lcm
+    assert newton._scale(values) == s
+    assert series._scale(*monic_parts(p.derivative(), p)) == s

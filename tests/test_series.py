@@ -18,6 +18,7 @@ from rootsums import (
     power_sums_from_coeffs,
     to_signed,
 )
+import rootsums.series as series_module
 from rootsums.series import descending_text
 
 F = ExactScalar
@@ -127,21 +128,26 @@ def test_cross_multiplied_check_passes():
     report = cross_multiplied_check(Polynomial([2, -3, 1]), 6)
     assert report.ok
     assert report.first_nonzero() is None
+    # No Fraction is built for a zero residual: each is the one shared zero.
+    assert all(value is series_module._ZERO for _, value in report.residuals)
     assert cross_multiplied_check(Polynomial([0, 0, 0, 0, 0, 1]), 3).ok
 
 
 def test_cross_multiplied_check_detects_corruption():
-    # Corrupt p2 by one: the first bad residual sits at x^(n-3).
+    # Corrupt p2 by 1/3: the first bad residual sits at x^(n-3), and the
+    # residual is exactly (1/3)/x^3 times p = x^2 - 3x + 2.
     p = Polynomial([2, -3, 1])
     series = divide_descending(p.derivative(), p, 7)
     terms = list(series.terms)
-    terms[2] += 1
+    terms[2] += F(1, 3)
     corrupted = DescendingSeries(-1, tuple(terms))
     report = cross_multiplied_check(p, 6, series=corrupted)
     assert not report.ok
     exponent, value = report.first_nonzero()
     assert exponent == p.degree - 3
-    assert value != 0
+    assert report.residuals == (
+        (1, 0), (0, 0), (-1, F(1, 3)), (-2, -1), (-3, F(2, 3)), (-4, 0), (-5, 0)
+    )
 
 
 def test_series_accessors_and_rendering():
