@@ -313,7 +313,7 @@ def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, command):
     code, out, err = run(capsys, command, "x^2 - 1/2x + 1/16", "--k", "6")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error:")
+    assert err.startswith("internal error: scale 2 leaves")
 
 
 def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
