@@ -13,6 +13,16 @@ any other character but space, tab, CR and LF is an error. The whole
 input is tokenized first, so a bad character or an over-long integer is
 reported ahead of an earlier grammar error.
 
+The tokenizer splits the input in one ``findall`` pass into runs of
+whitespace, runs of ASCII digits and single characters, then classifies
+each piece by its first character; a piece's offset is the running sum
+of the lengths before it. Reading the whole input before the first
+failure costs little: one str per piece, which is less than the one
+3-tuple per token that a valid input of the same length keeps anyway.
+
+Each coefficient is built as one ``Fraction`` from its sign, numerator
+and denominator; like terms are added only when an exponent repeats.
+
 Multiplication between coefficient and variable is implicit ("1/2x"
 binds as (1/2)*x), whitespace is insignificant, like terms are combined,
 and an input that combines to the zero polynomial is rejected. A unary
@@ -27,6 +37,7 @@ whatever bytes come in. That includes integers longer than
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
@@ -42,13 +53,15 @@ MAX_EXPONENT = 10_000
 # quadratic in the length), whatever limit the interpreter has set.
 MAX_DIGITS = 4300
 
-# One alternative per token kind. The classes are spelled out in ASCII
-# because \d, \s and \w also match non-ASCII digits, spaces and letters,
-# which are unexpected characters here.
-_TOKEN = re.compile(
-    r"(?P<space>[ \t\r\n]+)|(?P<int>[0-9]+)|(?P<letter>[A-Za-z])|(?P<op>[-+^/,])|(?P<bad>.)",
-    re.DOTALL,
-)
+# Runs of whitespace, runs of digits, and any other single character. The
+# classes are spelled out in ASCII because \d, \s and \w, and str.isdigit
+# and friends, also match non-ASCII digits, spaces and letters, which are
+# unexpected characters here.
+_SPACE = " \t\r\n"
+_PIECES = re.compile(f"[{_SPACE}]+|[0-9]+|.", re.DOTALL)
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+_OPERATORS = frozenset("-+^/,")
 
 
 @dataclass(frozen=True)
@@ -89,17 +102,24 @@ class _Cursor:
     """
 
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int]] = []
+        tokens: list[tuple[str, str, int]] = []
+        offset = 0
+        for piece in _PIECES.findall(text):
+            first = piece[0]
+            if first in _DIGITS:
+                if len(piece) > MAX_DIGITS:
+                    _fail(offset, f"integer has more than {MAX_DIGITS} digits")
+                tokens.append(("int", piece, offset))
+            elif first in _LETTERS:
+                tokens.append(("letter", piece, offset))
+            elif first in _OPERATORS:
+                tokens.append((piece, piece, offset))
+            elif first not in _SPACE:
+                _fail(offset, f"unexpected character {piece!r}")
+            offset += len(piece)
+        tokens.append(("end", "", offset))
+        self.tokens = tokens
         self.pos = 0
-        for match in _TOKEN.finditer(text):
-            kind, token, offset = match.lastgroup, match.group(), match.start()
-            if kind == "bad":
-                _fail(offset, f"unexpected character {token!r}")
-            if kind == "int" and len(token) > MAX_DIGITS:
-                _fail(offset, f"integer has more than {MAX_DIGITS} digits")
-            if kind != "space":
-                self.tokens.append((token if kind == "op" else kind, token, offset))
-        self.tokens.append(("end", "", len(text)))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -119,16 +139,15 @@ class _Cursor:
         return token
 
 
-def _unsigned_rational(cursor: _Cursor, numerator: str) -> Fraction:
-    """The rational whose numerator digits the caller has just taken."""
-    value = Fraction(int(numerator))
-    if cursor.take("/"):
-        _, digits, offset = cursor.expect("int", "a positive denominator")
-        den = int(digits)
-        if den == 0:
-            _fail(offset, "denominator must be a positive integer")
-        value /= den
-    return value
+def _rational(cursor: _Cursor, sign: int, numerator: str) -> Fraction:
+    """sign times the rational whose numerator digits the caller has just taken."""
+    if not cursor.take("/"):
+        return Fraction(sign * int(numerator))
+    _, digits, offset = cursor.expect("int", "a positive denominator")
+    den = int(digits)
+    if den == 0:
+        _fail(offset, "denominator must be a positive integer")
+    return Fraction(sign * int(numerator), den)
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -152,9 +171,7 @@ def parse_polynomial(text: str) -> Polynomial:
             _fail(offset, '"--" is not allowed')
 
         number = cursor.take("int")
-        coeff = Fraction(1)
-        if number is not None:
-            coeff = _unsigned_rational(cursor, number[1])
+        coeff = Fraction(sign) if number is None else _rational(cursor, sign, number[1])
         exponent = 0
         letter = cursor.take("letter")
         if letter is not None:
@@ -180,7 +197,9 @@ def parse_polynomial(text: str) -> Polynomial:
                     )
         elif number is None:
             _fail(cursor.peek()[2], "expected a term", ("an integer", "a variable"))
-        terms[exponent] = terms.get(exponent, Fraction(0)) + sign * coeff
+        if exponent in terms:
+            coeff += terms[exponent]
+        terms[exponent] = coeff
 
         kind, _, offset = cursor.peek()
         if kind == "end":
@@ -208,12 +227,11 @@ def parse_rational_list(text: str) -> list[Fraction]:
     cursor = _Cursor(text)
     values: list[Fraction] = []
     while True:
-        negative = cursor.take("-") is not None
+        sign = -1 if cursor.take("-") else 1
         number = cursor.take("int")
         if number is None:
             _fail(cursor.peek()[2], "expected a rational number")
-        value = _unsigned_rational(cursor, number[1])
-        values.append(-value if negative else value)
+        values.append(_rational(cursor, sign, number[1]))
         if cursor.peek()[0] == "end":
             return values
         cursor.expect(",", "','")

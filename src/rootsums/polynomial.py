@@ -12,6 +12,11 @@ equals the k-th elementary symmetric function of the roots. Non-monic
 input is accepted everywhere and normalized by dividing through by the
 leading coefficient, which leaves the roots unchanged.
 
+A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
+``Fraction`` is immutable and always reduced, and rebuilding one costs
+about as much as the arithmetic that made it. Anything else (an int, a
+``Fraction`` subclass) is converted to a reduced ``Fraction``.
+
 Tuples and star-arguments on a request's path are built from lists,
 never from generators. CPython sizes a tuple built from a generator by
 a guess and then resizes it, so the freed tuple lands in another size's
@@ -44,10 +49,10 @@ class Polynomial:
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, coefficients: Iterable[Fraction | int]):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
+        while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
@@ -57,7 +62,7 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return self.coefficients == (Fraction(0),)
+        return len(self.coefficients) == 1 and not self.coefficients[0]
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -75,7 +80,12 @@ class Polynomial:
         """Formal derivative; a constant yields the zero polynomial."""
         if self.degree == 0:
             return Polynomial([Fraction(0)])
-        return Polynomial([i * c for i, c in enumerate(self.coefficients)][1:])
+        return Polynomial(
+            [
+                Fraction(i * c.numerator, c.denominator)
+                for i, c in enumerate(self.coefficients[1:], start=1)
+            ]
+        )
 
     def monic(self) -> Polynomial:
         """Scale so the leading coefficient is 1; roots are unchanged."""
@@ -129,7 +139,7 @@ class SignedCoefficients:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        coerced = tuple([Fraction(v) for v in self.values])
+        coerced = tuple([v if type(v) is Fraction else Fraction(v) for v in self.values])
         if len(coerced) != self.degree:
             raise ValueError(
                 f"expected {self.degree} signed coefficients, got {len(coerced)}"
@@ -186,7 +196,7 @@ def poly_from_roots(roots: RootMultiset) -> Polynomial:
         raise ValueError("at least one root is required")
     coeffs = [Fraction(1)]
     for root in roots:
-        r = Fraction(root)
+        r = root if type(root) is Fraction else Fraction(root)
         # Multiply by (x - r) in place: new[i] = old[i-1] - r*old[i].
         coeffs.append(Fraction(0))
         for i in range(len(coeffs) - 1, 0, -1):

@@ -34,6 +34,9 @@ from .polynomial import (
 )
 from .newton import power_sums_from_coeffs
 
+# Every zero residual is this one value; a Fraction is built only for a nonzero one.
+_ZERO = Fraction(0)
+
 
 def _integer_sums(roots: RootMultiset, k_max: int) -> tuple[list[int], int]:
     """S_0..S_k_max with S_k = sum of a_i**k, and B, for roots a_i/B.
@@ -41,7 +44,9 @@ def _integer_sums(roots: RootMultiset, k_max: int) -> tuple[list[int], int]:
     B is the lcm of the root denominators, so every a_i is an integer
     and p_k = S_k / B**k.
     """
-    numerators, scale = clear_denominators([Fraction(r) for r in roots])
+    numerators, scale = clear_denominators(
+        [r if type(r) is Fraction else Fraction(r) for r in roots]
+    )
     sums = [len(numerators)]
     powers = [1] * len(numerators)
     for _ in range(k_max):
@@ -100,12 +105,13 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     # scheme on the homogenized polynomial, every step an int.
     descending, p_scale = clear_denominators(p.coefficients[::-1])
     root_residuals = []
-    for r in map(Fraction, roots):
+    for r in [r if type(r) is Fraction else Fraction(r) for r in roots]:
         acc, b_power = 0, 1
         for c in descending:
             acc = acc * r.numerator + c * b_power
             b_power *= r.denominator
-        root_residuals.append((r, Fraction(acc, p_scale * r.denominator**n)))
+        residual = Fraction(acc, p_scale * r.denominator**n) if acc else _ZERO
+        root_residuals.append((r, residual))
     # Identity k times B**k and A, the lcm of the signed coefficients'
     # denominators: A*S_k + w_1*S_(k-1) + ... + w_n*S_(k-n), with
     # w_i = (-1)^i * A * a_i * B**i. Every term is an int.
@@ -115,7 +121,7 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     window_residuals = []
     for k in range(n, k_max + 1):
         acc = coeff_scale * sums[k] + sum(map(mul, weights, reversed(sums[k - n : k])))
-        window_residuals.append((k, Fraction(acc, coeff_scale * scale**k)))
+        window_residuals.append((k, Fraction(acc, coeff_scale * scale**k) if acc else _ZERO))
     return SubstitutionReport(tuple(root_residuals), tuple(window_residuals))
 
 

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
+from typing import Sequence
 
 from .newton import InternalError
 from .polynomial import Polynomial, clear_denominators
@@ -108,7 +109,7 @@ def descending_text(start_exponent: int, coefficients: list[str]) -> str:
     return "".join(parts)
 
 
-def _scale(den: list[Fraction], num: list[Fraction]) -> int:
+def _scale(den: Sequence[Fraction], num: Sequence[Fraction]) -> int:
     """A scale s with den(c) dividing s^(n-i) for coefficient i of either list.
 
     ``den`` holds the n low coefficients of the monic denominator and
@@ -159,8 +160,11 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
         )
     width = denominator.degree
     lead = denominator.leading_coefficient
-    den = [d / lead for d in denominator.coefficients[:-1]]
-    num = [c / lead for c in numerator.coefficients]
+    den = denominator.coefficients[:-1]
+    num = numerator.coefficients
+    if lead != 1:
+        den = [d / lead for d in den]
+        num = [c / lead for c in num]
     scale = _scale(den, num)
     powers = [scale ** (width - i) for i in range(width)]
 

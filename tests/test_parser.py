@@ -1,8 +1,11 @@
 """Grammar, diagnostics, and totality of the text front end."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rootsums.parser as parser
 from rootsums import (
     MAX_EXPONENT,
     ExactScalar,
@@ -236,3 +239,172 @@ def test_parse_rational_list_is_total(text):
         assert 0 <= err.diagnostic.offset <= len(text)
     else:
         assert result
+
+
+# References: the named-group tokenizer and the Fraction-accumulating
+# parse loops the front end ran before it split the input with one
+# findall pass and built each coefficient as one Fraction. The cursor's
+# peek/take/expect are shared; everything that builds tokens or values
+# is the old code.
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<int>[0-9]+)|(?P<letter>[A-Za-z])|(?P<op>[-+^/,])|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+class ReferenceCursor(parser._Cursor):
+    def __init__(self, text):
+        self.tokens = []
+        self.pos = 0
+        for match in _REFERENCE_TOKEN.finditer(text):
+            kind, token, offset = match.lastgroup, match.group(), match.start()
+            if kind == "bad":
+                parser._fail(offset, f"unexpected character {token!r}")
+            if kind == "int" and len(token) > parser.MAX_DIGITS:
+                parser._fail(offset, f"integer has more than {parser.MAX_DIGITS} digits")
+            if kind != "space":
+                self.tokens.append((token if kind == "op" else kind, token, offset))
+        self.tokens.append(("end", "", len(text)))
+
+
+def reference_unsigned_rational(cursor, numerator):
+    value = F(int(numerator))
+    if cursor.take("/"):
+        _, digits, offset = cursor.expect("int", "a positive denominator")
+        den = int(digits)
+        if den == 0:
+            parser._fail(offset, "denominator must be a positive integer")
+        value /= den
+    return value
+
+
+def reference_parse_polynomial(text):
+    cursor = ReferenceCursor(text)
+    variable = None
+    terms = {}
+    sign = 1
+    while True:
+        if sign == 1 and cursor.take("-"):
+            sign = -1
+        kind, _, offset = cursor.peek()
+        if sign == -1 and kind == "-":
+            parser._fail(offset, '"--" is not allowed')
+        number = cursor.take("int")
+        coeff = F(1)
+        if number is not None:
+            coeff = reference_unsigned_rational(cursor, number[1])
+        exponent = 0
+        letter = cursor.take("letter")
+        if letter is not None:
+            _, name, offset = letter
+            if variable is None:
+                variable = name
+            elif name != variable:
+                parser._fail(
+                    offset,
+                    f"inconsistent variable {name!r}, the input already uses {variable!r}",
+                )
+            exponent = 1
+            if cursor.take("^"):
+                kind, _, offset = cursor.peek()
+                if kind == "-":
+                    parser._fail(offset, "exponent must be a nonnegative integer")
+                _, digits, offset = cursor.expect("int", "a nonnegative exponent")
+                exponent = int(digits)
+                if exponent > MAX_EXPONENT:
+                    parser._fail(
+                        offset,
+                        f"exponent exceeds the supported maximum of {MAX_EXPONENT}",
+                    )
+        elif number is None:
+            parser._fail(cursor.peek()[2], "expected a term", ("an integer", "a variable"))
+        terms[exponent] = terms.get(exponent, F(0)) + sign * coeff
+        kind, _, offset = cursor.peek()
+        if kind == "end":
+            break
+        if not cursor.take("+") and not cursor.take("-"):
+            parser._fail(offset, "expected an operator", ("'+'", "'-'"))
+        sign = 1 if kind == "+" else -1
+    coeffs = [F(0)] * (max(terms) + 1)
+    for exponent, value in terms.items():
+        coeffs[exponent] = value
+    result = Polynomial(coeffs)
+    if result.is_zero:
+        parser._fail(0, "input combines to the zero polynomial")
+    return result
+
+
+def reference_parse_rational_list(text):
+    cursor = ReferenceCursor(text)
+    values = []
+    while True:
+        negative = cursor.take("-") is not None
+        number = cursor.take("int")
+        if number is None:
+            parser._fail(cursor.peek()[2], "expected a rational number")
+        value = reference_unsigned_rational(cursor, number[1])
+        values.append(-value if negative else value)
+        if cursor.peek()[0] == "end":
+            return values
+        cursor.expect(",", "','")
+
+
+def outcome(function, text):
+    """The value, or the diagnostic of the ParseError, of function(text)."""
+    try:
+        return function(text)
+    except ParseError as err:
+        return err.diagnostic
+
+
+# Pieces the inputs are drawn from: every token class, every whitespace
+# character, the non-ASCII digit, space and letter the tokenizer refuses,
+# whole terms so that valid inputs are common, and digit runs on either
+# side of MAX_DIGITS.
+_PIECES = (
+    list("0123456789xyAZ-+^/, \t\r\n\u0663\xa0\xe9")
+    + ["x", "x^2", "3x", "1/2", "7/3x^3", "x^0", "10", " + ", " - ", ", ", "\r\n"]
+    + ["7" * n for n in range(parser.MAX_DIGITS - 1, parser.MAX_DIGITS + 3)]
+)
+front_end_inputs = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+list_inputs = st.lists(
+    st.sampled_from(["3", "-", "5/10", "4/6", ",", ", ", "/", "0", " ", "\t", "\u0663", "x"]),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(front_end_inputs)
+def test_tokens_and_offsets_match_the_reference(text):
+    def tokens(cursor_class):
+        return outcome(lambda t: cursor_class(t).tokens, text)
+
+    assert tokens(parser._Cursor) == tokens(ReferenceCursor)
+
+
+@settings(max_examples=400)
+@given(front_end_inputs)
+def test_parse_polynomial_matches_the_reference(text):
+    assert outcome(parse_polynomial, text) == outcome(reference_parse_polynomial, text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(front_end_inputs, list_inputs))
+def test_parse_rational_list_matches_the_reference(text):
+    expected = outcome(reference_parse_rational_list, text)
+    assert outcome(parse_rational_list, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-x^2 + 1/2x^2 + 3x - 3x + 2", "3x^2 + x - 1/3x^2 + 1/2", "-x - y", "x +\t\r\n 2 \xe9"],
+)
+def test_pinned_inputs_match_the_reference(text):
+    assert outcome(parse_polynomial, text) == outcome(reference_parse_polynomial, text)
+    assert outcome(parse_rational_list, text) == outcome(reference_parse_rational_list, text)
+
+
+def test_rational_list_entries_are_reduced_and_signed():
+    values = parse_rational_list("-5/10, 4/6, 3, -0")
+    assert values == reference_parse_rational_list("-5/10, 4/6, 3, -0")
+    assert [(v.numerator, v.denominator) for v in values] == [(-1, 2), (2, 3), (3, 1), (0, 1)]

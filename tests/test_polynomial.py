@@ -125,6 +125,33 @@ def test_derivative_examples():
     assert Polynomial([0, 0, 0, 0, -1, 1]).derivative() == Polynomial([0, 0, 0, -4, 5])
 
 
+@given(nonzero_polys)
+def test_derivative_matches_the_fraction_products(p):
+    # The reference is the i * c form the derivative used before it built
+    # each coefficient from i * numerator and the denominator.
+    expected = Polynomial([i * c for i, c in enumerate(p.coefficients)][1:] or [0])
+    assert p.derivative() == expected
+    assert all(type(c) is F for c in p.derivative().coefficients)
+
+
+class FractionSubclass(F):
+    pass
+
+
+def test_fraction_values_are_kept_and_others_converted():
+    # Exact values are kept as the same objects; ints and Fraction
+    # subclasses become reduced Fractions.
+    kept = (F(2, 3), F(-5), F(1, 7))
+    for values in (
+        Polynomial(kept + (4, FractionSubclass(6, 4))).coefficients,
+        SignedCoefficients(5, kept + (4, FractionSubclass(6, 4))).values,
+    ):
+        assert all(value is given for value, given in zip(values, kept))
+        assert values[3:] == (F(4), F(3, 2))
+        assert all(type(v) is F for v in values)
+        assert (values[4].numerator, values[4].denominator) == (3, 2)
+
+
 def test_truncate_keeps_leading_signed_coefficients():
     s = SignedCoefficients(5, (1, 2, 3, 4, 5))
     assert s.truncate(2) == SignedCoefficients(2, (1, 2))

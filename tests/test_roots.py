@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import rootsums.roots as roots_module
+
 from rootsums import (
     ExactScalar,
     Polynomial,
@@ -49,6 +51,55 @@ def test_substitution_report_flags_a_wrong_root():
     residuals = dict(report.root_residuals)
     assert residuals[F(1)] == 0
     assert residuals[F(3)] == 2  # 9 - 9 + 2
+
+
+def test_substitution_report_zero_residuals_are_one_object():
+    report = verify_by_substitution(
+        poly_from_roots([F(1, 2), F(-3, 4), 5]), [F(1, 2), F(-3, 4), 5], 7
+    )
+    assert report.ok
+    values = [v for _, v in report.root_residuals + report.window_residuals]
+    assert len(values) == 8
+    assert all(v is roots_module._ZERO for v in values)
+
+
+def test_substitution_report_keeps_exact_residuals_of_wrong_roots():
+    # x^2 - 1/2x - 1/2 has the roots 1 and -1/2; 2 and -1/2 are wrong.
+    p = Polynomial([F(-1, 2), F(-1, 2), 1])
+    report = verify_by_substitution(p, [2, F(-1, 2)], 3)
+    assert report.root_residuals == ((F(2), F(5, 2)), (F(-1, 2), F(0)))
+    assert report.root_residuals[1][1] is roots_module._ZERO
+    # p_k of {2, -1/2} against the identity p_k - 1/2 p_(k-1) - 1/2 p_(k-2).
+    sums = power_sums_direct([2, F(-1, 2)], 3)
+    assert report.window_residuals == tuple(
+        (k, sums[k] - F(1, 2) * sums[k - 1] - F(1, 2) * sums[k - 2]) for k in (2, 3)
+    )
+    assert all(v != 0 for _, v in report.window_residuals)
+
+
+class FractionSubclass(F):
+    pass
+
+
+def test_fraction_roots_are_kept_and_others_converted(monkeypatch):
+    # Exact roots reach the integer sums as the same objects, and the
+    # substitution report as they were passed; ints and Fraction
+    # subclasses become reduced Fractions.
+    seen = []
+    clear = roots_module.clear_denominators
+    monkeypatch.setattr(
+        roots_module, "clear_denominators", lambda values: seen.append(values) or clear(values)
+    )
+    half = F(1, 2)
+    roots = [half, 3, FractionSubclass(4, 6)]
+    assert power_sums_direct(roots, 2) == [3, F(25, 6), F(349, 36)]
+    assert seen[0][0] is half
+    assert seen[0][1:] == [F(3), F(2, 3)]
+    assert all(type(r) is F for r in seen[0])
+    report = verify_by_substitution(poly_from_roots(roots), roots, 3)
+    assert report.ok
+    assert report.root_residuals[0][0] is half
+    assert all(type(r) is F for r, _ in report.root_residuals)
 
 
 def test_substitution_report_all_zero_roots():

@@ -5,7 +5,7 @@ import sys
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rootsums import (
     DescendingSeries,
@@ -54,6 +54,17 @@ def test_divide_descending_validations():
         divide_descending(Polynomial([0, 1]), Polynomial([0, 1]), 2)  # degrees equal
     with pytest.raises(ValueError):
         divide_descending(Polynomial([1]), Polynomial([0, 1]), 0)
+
+
+@given(nonconstant_polys, st.integers(min_value=1, max_value=12))
+def test_non_monic_division_equals_the_monic_one(p, order):
+    # p'/p is unchanged by scaling p, and the division of the monic form
+    # skips dividing through by the leading coefficient.
+    assume(p.leading_coefficient != 1)
+    monic = p.monic()
+    assert divide_descending(p.derivative(), p, order) == divide_descending(
+        monic.derivative(), monic, order
+    )
 
 
 @st.composite
