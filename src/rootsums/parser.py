@@ -37,7 +37,6 @@ whatever bytes come in. That includes integers longer than
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
@@ -59,8 +58,8 @@ MAX_DIGITS = 4300
 # unexpected characters here.
 _SPACE = " \t\r\n"
 _PIECES = re.compile(f"[{_SPACE}]+|[0-9]+|.", re.DOTALL)
-_DIGITS = frozenset(string.digits)
-_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _OPERATORS = frozenset("-+^/,")
 
 

@@ -5,7 +5,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rootsums.parser as parser
 from rootsums import (
     MAX_EXPONENT,
     ExactScalar,
@@ -14,6 +13,7 @@ from rootsums import (
     parse_polynomial,
     parse_rational_list,
 )
+import rootsums.parser as parser
 
 F = ExactScalar
 

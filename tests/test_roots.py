@@ -3,8 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-import rootsums.roots as roots_module
-
 from rootsums import (
     ExactScalar,
     Polynomial,
@@ -14,6 +12,7 @@ from rootsums import (
     truncation_report,
     verify_by_substitution,
 )
+import rootsums.roots as roots_module
 
 F = ExactScalar
 
