@@ -16,9 +16,10 @@ reported ahead of an earlier grammar error.
 The tokenizer splits the input in one ``findall`` pass into runs of
 whitespace, runs of ASCII digits and single characters, then classifies
 each piece by its first character; a piece's offset is the running sum
-of the lengths before it. Reading the whole input before the first
-failure costs little: one str per piece, which is less than the one
-3-tuple per token that a valid input of the same length keeps anyway.
+of the lengths before it. The trade-off: ``findall`` splits the whole
+input before the first failure is reported. That holds one str per
+piece, less than the one 3-tuple per token that a valid input of the
+same length keeps anyway.
 
 Each coefficient is built as one ``Fraction`` from its sign, numerator
 and denominator; like terms are added only when an exponent repeats.
