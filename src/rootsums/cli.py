@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--powersums",
         required=True,
-        help="comma-separated p1..pn (p0 is implied by --n)",
+        help="comma-separated p1..pn (p0 is implied by --n; entries past pn are ignored)",
     )
 
     sub = command("series", _cmd_series, "descending expansion of p'(x)/p(x)")

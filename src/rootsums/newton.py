@@ -29,7 +29,16 @@ a reduced ``Fraction`` only on the way out. :func:`_scale` picks s
 greedily; s divides L, the lcm of the denominators of the a_i, and can
 be far smaller (24 against L = 2985984 for six roots 1/12), though it is
 not always the smallest sound scale (8 for x^2 - 1/2x + 1/16, where 4
-would do). The direct summation over roots and the substitution checks
+would do).
+
+The inverse direction, :func:`coeffs_from_power_sums`, runs on ``int``
+as well. It takes s from :func:`_scale` over p_1..p_n, so that
+P_i = s^i*p_i are integers, and computes W_k = k!*s^k*a_k: the k!
+absorbs the division by k of every step, so W_k is an integer for any
+rational power sums, even ones that come from no rational roots.
+a_k = W_k / (k!*s^k) is reduced on the way out.
+
+The direct summation over roots and the substitution checks
 in :mod:`rootsums.roots` run in ``int`` too, but scaled by B**k, with B
 the lcm of the root denominators, and by the lcm of the coefficients'
 denominators; they never use this s, so they stay an oracle independent
@@ -54,23 +63,41 @@ def _window(weights: Sequence, sums: Sequence, k: int, width: int):
     """weights[0]*sums[k-1] + weights[1]*sums[k-2] + ... over ``width`` terms.
 
     The weights carry the alternating signs: weights[i-1] = (-1)^(i-1)*a_i.
-    Works on ints and on Fractions alike.
     """
     return sum(map(mul, weights[:width], reversed(sums[k - width : k])))
 
 
 def _scale(values: Sequence[Fraction]) -> int:
-    """A scale s with den(a_i) dividing s^i for every signed coefficient a_i.
+    """A scale s with den(v_i) dividing s^i for every value v_i.
 
-    Greedy in i = 1, 2, ...: s takes on the part of den(a_i) that s^i
-    does not cover yet. No prime's exponent in s ever exceeds its
-    exponent in the lcm of the denominators, so s divides that lcm.
+    The values are signed coefficients a_i, or power sums p_i for the
+    inverse direction. Greedy in i = 1, 2, ...: s takes on the part of
+    den(v_i) that s^i does not cover yet. No prime's exponent in s ever
+    exceeds its exponent in the lcm of the denominators, so s divides
+    that lcm.
     """
     s = 1
     for i, a in enumerate(values, start=1):
         d = a.denominator
         s *= d // math.gcd(d, s**i)
     return s
+
+
+def _alternating_scaled(values: Sequence[Fraction], scale: int, symbol: str) -> list[int]:
+    """(-1)^(i-1) * s^i * v_i for i = 1, 2, ..., as ints.
+
+    Raises :class:`InternalError` if s^i leaves some v_i fractional,
+    naming it ``symbol``_i.
+    """
+    out = []
+    power = 1
+    for i, v in enumerate(values, start=1):
+        power *= scale
+        factor, rest = divmod(power, v.denominator)
+        if rest:
+            raise InternalError(f"scale {scale} leaves {symbol}_{i} = {v} fractional")
+        out.append(v.numerator * factor if i % 2 else -v.numerator * factor)
+    return out
 
 
 def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
@@ -83,15 +110,7 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fract
         raise ValueError("k_max must be nonnegative")
     n = signed.degree
     scale = _scale(signed.values)
-    # weights[i-1] = (-1)^(i-1) * s^i * a_i, an integer since den(a_i) divides s^i.
-    weights = []
-    power = 1
-    for i, a in enumerate(signed.values, start=1):
-        power *= scale
-        factor, rest = divmod(power, a.denominator)
-        if rest:
-            raise InternalError(f"scale {scale} leaves a_{i} = {a} fractional")
-        weights.append(a.numerator * factor if i % 2 else -a.numerator * factor)
+    weights = _alternating_scaled(signed.values, scale, "a")
     sums = [n]
     for k in range(1, k_max + 1):
         if k <= n:
@@ -114,13 +133,21 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fract
 def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> SignedCoefficients:
     """Recover the signed coefficients from p_0..p_degree.
 
-    Inverts the short regime one coefficient at a time; step k divides
-    by k, which is exact over the rationals:
+    Inverts the short regime one coefficient at a time. Over the
+    rationals, step k divides by k:
 
         a_k = ±(p_k - a_1*p_(k-1) + a_2*p_(k-2) - ...) / k
 
-    ``power_sums[0]`` must equal ``degree`` (it is p_0); entries past
-    p_degree are ignored.
+    The loop runs on plain ``int`` instead and never divides. With s
+    from :func:`_scale` (den(p_i) divides s^i) and P_i = s^i*p_i, it
+    computes W_k = k! * s^k * a_k by
+
+        W_0 = 1,  W_k = sum_(i=1..k) (-1)^(i-1) * (k-1)!/(k-i)! * W_(k-i) * P_i,
+
+    an integer combination of integers, for any rational p_i (p = 1, 0
+    gives a_2 = 1/2). Then a_k = W_k / (k! * s^k), reduced on the way
+    out. ``power_sums[0]`` must equal ``degree`` (it is p_0); entries
+    past p_degree are ignored.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -128,13 +155,23 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
         raise ValueError(
             f"need power sums p_0..p_{degree}, got only {len(power_sums)} values"
         )
-    sums = [Fraction(v) for v in power_sums[: degree + 1]]
+    sums = [v if type(v) is Fraction else Fraction(v) for v in power_sums[: degree + 1]]
     if sums[0] != degree:
         raise ValueError(f"p_0 is {sums[0]} but must equal the degree {degree}")
-    weights: list[Fraction] = []  # (-1)^(k-1) * a_k
+    scale = _scale(sums[1:])
+    signed = _alternating_scaled(sums[1:], scale, "p")  # (-1)^(i-1) * P_i
+    scaled = [1]  # W_0..W_(k-1)
+    values = []
+    denominator = 1  # k! * s^k
     for k in range(1, degree + 1):
-        weights.append((sums[k] - _window(weights, sums, k, k - 1)) / k)
-    values = [w if k % 2 else -w for k, w in enumerate(weights, start=1)]
+        # Horner in the falling factorial: with j = k - i, the weight
+        # (k-1)!/(k-i)! of the j-th term is the product (j+1)*...*(k-1).
+        acc = 0
+        for j in range(k):
+            acc = j * acc + scaled[j] * signed[k - 1 - j]
+        scaled.append(acc)
+        denominator *= k * scale
+        values.append(Fraction(acc, denominator))
     return SignedCoefficients(degree, tuple(values))
 
 

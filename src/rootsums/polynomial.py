@@ -17,6 +17,13 @@ A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
 about as much as the arithmetic that made it. Anything else (an int, a
 ``Fraction`` subclass) is converted to a reduced ``Fraction``.
 
+``poly_from_roots`` multiplies out the factors (b*x - a) of the roots
+a/b in plain ``int`` and divides by prod of b only on the way out. It
+scales each factor by its own root's denominator, never by the lcm B
+that :func:`clear_denominators` gives: ``from-roots`` sums the roots'
+powers directly on B, and the two sides of its agreement check must not
+share one scaling.
+
 Tuples and star-arguments on a request's path are built from lists,
 never from generators. CPython sizes a tuple built from a generator by
 a guess and then resizes it, so the freed tuple lands in another size's
@@ -191,18 +198,24 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def poly_from_roots(roots: RootMultiset) -> Polynomial:
-    """Monic polynomial with exactly the given roots: prod of (x - r)."""
+    """Monic polynomial with exactly the given roots: prod of (x - r).
+
+    Multiplies out prod of (b*x - a) over the roots r = a/b in plain
+    ``int``, each factor with its root's own denominator, and divides
+    every coefficient by prod of b (the leading coefficient) on the way
+    out.
+    """
     if not roots:
         raise ValueError("at least one root is required")
-    coeffs = [Fraction(1)]
+    coeffs = [1]
+    lead = 1
     for root in roots:
         r = root if type(root) is Fraction else Fraction(root)
-        # Multiply by (x - r) in place: new[i] = old[i-1] - r*old[i].
-        coeffs.append(Fraction(0))
-        for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] = coeffs[i - 1] - r * coeffs[i]
-        coeffs[0] = -r * coeffs[0]
-    return Polynomial(coeffs)
+        a, b = r.numerator, r.denominator
+        # Multiply by (b*x - a): new[i] = b*old[i-1] - a*old[i].
+        coeffs = [b * hi - a * lo for hi, lo in zip([0, *coeffs], [*coeffs, 0])]
+        lead *= b
+    return Polynomial([Fraction(c, lead) for c in coeffs])
 
 
 def elementary_symmetric(roots: RootMultiset, k: int) -> Fraction:

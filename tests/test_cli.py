@@ -304,13 +304,22 @@ def test_regime_boundary_disagreement_exits_three(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
-@pytest.mark.parametrize("module, command", [("newton", "powersums"), ("series", "series")])
-def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, command):
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("newton", ["powersums", "x^2 - 1/2x + 1/16", "--k", "6"]),
+        ("series", ["series", "x^2 - 1/2x + 1/16", "--k", "6"]),
+        ("newton", ["coeffs", "--n", "2", "--powersums", "1/2, 1/8"]),
+    ],
+    ids=["newton-powersums", "series-series", "newton-coeffs"],
+)
+def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, argv):
     # The sound scale for x^2 - 1/2x + 1/16 is 8; 2 leaves 1/16 * 2^2 fractional.
+    # Its power sums p_1 = 1/2, p_2 = 1/8 need 4; 2 leaves 1/8 * 2^2 fractional.
     import importlib
 
     monkeypatch.setattr(importlib.import_module(f"rootsums.{module}"), "_scale", lambda *_: 2)
-    code, out, err = run(capsys, command, "x^2 - 1/2x + 1/16", "--k", "6")
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: scale 2 leaves")
