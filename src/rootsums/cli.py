@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: powersums, coeffs, series, from-roots, verify, truncate,
-negpowers, bench. Each command builds one payload; ``--json`` prints it
-as a JSON object in which every rational is a "num/den" string (JSON
-numbers would be lossy), otherwise it is rendered as a human-readable
-table.
+negpowers, bench. Each command builds one payload that holds its values
+exact. ``--json`` prints it as a JSON object in which the encoder writes
+every rational as a "num/den" string (JSON numbers would be lossy);
+otherwise it is rendered as a human-readable table, which converts only
+the values it prints.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -71,8 +72,9 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 """
 
 
-# What a command returns: its payload (the --json object, every rational
-# already a "num/den" string) and the function that renders it as text.
+# What a command returns: its payload (the --json object, every rational an
+# exact Fraction that the encoder writes as a "num/den" string) and the
+# function that renders it as text.
 _Result = tuple[dict, Callable[[dict], str]]
 
 
@@ -104,11 +106,11 @@ def _check(name: str, residual: str | None) -> dict:
 
 
 def _sums_payload(
-    degree: int, sums: Sequence[Fraction], checks: list[dict], **extra: str
+    degree: int, sums: Sequence[Fraction | str], checks: list[dict], **extra: str
 ) -> dict:
     return {
         "degree": degree,
-        "power_sums": [str(v) for v in sums],
+        "power_sums": sums,
         "checks": checks,
         **extra,
     }
@@ -122,7 +124,7 @@ def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> lis
 
 
 def _sums_text(payload: dict, symbol: str = "p") -> str:
-    rows = [(f"{symbol}{k}", v) for k, v in enumerate(payload["power_sums"])]
+    rows = [(f"{symbol}{k}", str(v)) for k, v in enumerate(payload["power_sums"])]
     return "\n".join(_table(rows, " = "))
 
 
@@ -149,9 +151,9 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = log_derivative_power_sums(poly, args.k)
-    payload = _sums_payload(poly.degree, sums, [])
-    # The series text reuses the power sums' strings: each value is printed once.
-    payload["series"] = descending_text(-1, payload["power_sums"])
+    # Both modes print every value: convert each once, for both fields.
+    strings = [str(v) for v in sums]
+    payload = _sums_payload(poly.degree, strings, [], series=descending_text(-1, strings))
     return payload, itemgetter("series")
 
 
@@ -418,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _unlimited_int_digits():
             payload, render = args.handler(args)
-            print(json.dumps(payload) if args.json else render(payload))
+            print(json.dumps(payload, default=str) if args.json else render(payload))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

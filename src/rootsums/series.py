@@ -15,19 +15,9 @@ Series support here is only what the expansion needs: truncated division
 in descending powers and truncated multiplication by a polynomial. There
 is no general series ring.
 
-The division clears denominators once (x -> x/s, see
-:func:`divide_descending`) and runs in plain ``int``; the series it
-returns holds reduced ``Fraction`` coefficients. It computes its own s,
-sharing no code with the recurrence. Multiplying the series back by p
-in :func:`cross_multiplied_check` runs in ``int`` as well, times D*M:
-D is the lcm of the denominators of the series it is handed and M that
-of p's coefficients. It never uses s, so that check does not rely on
-the scaling it verifies.
-
-A series is rendered as text by :func:`descending_text`, from its
-coefficients' "num/den" strings. ``DescendingSeries.__str__`` and the
-``series`` command both use it; the command passes the power sums'
-strings it has already built, so each value is printed once.
+The division runs in plain ``int`` after x -> x/s, with an s of its own
+(:func:`_scale`); the multiply-back check is scaled by its inputs'
+denominators, never by s. See README's "Denominator scaling".
 """
 
 from __future__ import annotations
@@ -77,19 +67,20 @@ class DescendingSeries:
         return self.terms[j]
 
     def __str__(self) -> str:
-        return descending_text(self.start_exponent, [str(t) for t in self.terms])
+        return descending_text(self.start_exponent, self.terms)
 
 
-def descending_text(start_exponent: int, coefficients: list[str]) -> str:
-    """Render a descending series from its coefficients' "num/den" strings.
+def descending_text(start_exponent: int, coefficients: Sequence[Fraction | str]) -> str:
+    """Render a descending series from its coefficients or their "num/den" strings.
 
-    ``coefficients[j]`` is ``str()`` of the coefficient of
-    x**(start_exponent - j): a leading "-" gives the sign, and a "/"
-    puts the magnitude in parentheses. Taking strings lets a caller
-    that already printed the values reuse them.
+    ``coefficients[j]`` is the coefficient of x**(start_exponent - j).
+    Each goes through ``str()``, which leaves a string unchanged: a
+    leading "-" gives the sign, and a "/" puts the magnitude in
+    parentheses. Taking strings lets a caller that converts the values
+    anyway reuse them.
     """
     parts: list[str] = []
-    for j, c in enumerate(coefficients):
+    for j, c in enumerate(map(str, coefficients)):
         exponent = start_exponent - j
         negative = c.startswith("-")
         mag = c[1:] if negative else c
@@ -145,10 +136,7 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     scale s with each such denominator dividing s^(n-i) gives a monic
     integer denominator Q(x) and an integer numerator N'(x). Their
     quotient series has integer coefficients C_j, and c_j = C_j / s^j.
-    :func:`_scale` picks s greedily; it divides the lcm L of those
-    denominators and can be far smaller, though it is not always the
-    smallest sound scale (8 for p'/p with p = x^2 - 1/2x + 1/16, where 4
-    would do).
+    :func:`_scale` picks s greedily.
     """
     if denominator.is_zero:
         raise ZeroDivisionError("series division by the zero polynomial")

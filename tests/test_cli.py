@@ -180,8 +180,20 @@ def test_bench_json_is_deterministic_apart_from_timings(capsys):
 
 
 def test_json_rationals_are_strings(capsys):
-    _, payload, _ = run_json(capsys, "powersums", "1/2x^2 - 1/3", "--k", "2")
-    assert all(isinstance(v, str) for v in payload["power_sums"])
+    # The encoder writes each Fraction as a string; a plain int left in a
+    # payload would print as a JSON number, so p0 is checked too.
+    for argv in [
+        ("powersums", "1/2x^2 - 1/3", "--k", "2"),
+        ("coeffs", "--n", "2", "--powersums", "1/2, 1/8"),
+        ("series", "1/2x^2 - 1/3", "--k", "2"),
+        ("from-roots", "1/2, 3", "--k", "2"),
+        ("verify", "1/2x^2 - 1/3", "--k", "2"),
+        ("negpowers", "x^2 - 3x + 2", "--k", "2"),
+    ]:
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert all(isinstance(v, str) for v in payload["power_sums"]), argv
+        assert "/" in "".join(payload["power_sums"]), argv
 
 
 def test_powersums_all_roots_zero(capsys):
@@ -218,17 +230,37 @@ def test_series_json_payload(capsys):
     assert payload["series"] == "2/x + 3/x^2 + 5/x^3 + 9/x^4"
 
 
-def test_series_prints_each_value_once(capsys, monkeypatch):
-    # The series text is built from the power sums' strings, so each of
-    # p0..p5 goes through Fraction.__str__ once, in text mode as in --json.
+# Fraction.__str__ calls per request. A text renderer converts only the
+# values it prints, and `series` converts each value once for both fields.
+@pytest.mark.parametrize(
+    "argv, text_calls, json_calls",
+    [
+        (("powersums", "x^2 - 3x + 2", "--k", "6"), 7, 7),
+        (("series", "x^2 - 3x + 2", "--k", "6"), 7, 7),
+        (("negpowers", "x^2 - 3x + 2", "--k", "6"), 7, 7),
+        (("from-roots", "1,2", "--k", "6"), 9, 9),
+        (("verify", "x^2 - 3x + 2", "--k", "6"), 0, 7),
+        (("verify", "x^2 - 3x + 2", "--roots", "1,2", "--k", "6"), 9, 7),
+        (("coeffs", "--n", "2", "--powersums", "3,5"), 2, 5),
+    ],
+    ids=["powersums", "series", "negpowers", "from-roots", "verify", "verify-roots", "coeffs"],
+)
+def test_values_are_converted_only_where_printed(
+    capsys, monkeypatch, argv, text_calls, json_calls
+):
     from fractions import Fraction
 
     calls = []
     to_text = Fraction.__str__
     monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or to_text(v))
-    code, out, _ = run(capsys, "series", "x^2 - 3x + 2", "--k", "5")
-    assert (code, out) == (0, "2/x + 3/x^2 + 5/x^3 + 9/x^4 + 17/x^5 + 33/x^6\n")
-    assert len(calls) == 6
+    # Python 3.13 formats a Fraction in an f-string without __str__; send
+    # it through __str__, as 3.10-3.12 do, so each version counts alike.
+    monkeypatch.setattr(Fraction, "__format__", lambda v, spec: format(str(v), spec))
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == text_calls
+    calls.clear()
+    assert run(capsys, *argv, "--json")[0] == 0
+    assert len(calls) == json_calls
 
 
 def test_truncate_json_payload(capsys):
