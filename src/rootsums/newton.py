@@ -20,29 +20,9 @@ At k = n the two coincide because p_0 = n turns a_n*p_0 into n*a_n;
 ``power_sums_from_coeffs`` evaluates both there and raises
 :class:`InternalError` if they differ rather than trusting it.
 
-The recurrence runs on plain ``int``. It clears denominators once: for
-a scale s with den(a_i) dividing s^i for every i, the substitution
-x -> x/s turns the polynomial into the monic integer polynomial with
-signed coefficients s^i*a_i, whose roots are s times the original
-roots. Its power sums P_k are integers, and p_k = P_k / s^k is built as
-a reduced ``Fraction`` only on the way out. :func:`_scale` picks s
-greedily; s divides L, the lcm of the denominators of the a_i, and can
-be far smaller (24 against L = 2985984 for six roots 1/12), though it is
-not always the smallest sound scale (8 for x^2 - 1/2x + 1/16, where 4
-would do).
-
-The inverse direction, :func:`coeffs_from_power_sums`, runs on ``int``
-as well. It takes s from :func:`_scale` over p_1..p_n, so that
-P_i = s^i*p_i are integers, and computes W_k = k!*s^k*a_k: the k!
-absorbs the division by k of every step, so W_k is an integer for any
-rational power sums, even ones that come from no rational roots.
-a_k = W_k / (k!*s^k) is reduced on the way out.
-
-The direct summation over roots and the substitution checks
-in :mod:`rootsums.roots` run in ``int`` too, but scaled by B**k, with B
-the lcm of the root denominators, and by the lcm of the coefficients'
-denominators; they never use this s, so they stay an oracle independent
-of it.
+Both directions run on plain ``int``, scaled by an s from :func:`_scale`
+(den(v_i) divides s^i, v_i = a_i or p_i); the checks in
+:mod:`rootsums.roots` never use s. See README's "Denominator scaling".
 """
 
 from __future__ import annotations

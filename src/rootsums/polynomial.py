@@ -17,12 +17,9 @@ A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
 about as much as the arithmetic that made it. Anything else (an int, a
 ``Fraction`` subclass) is converted to a reduced ``Fraction``.
 
-``poly_from_roots`` multiplies out the factors (b*x - a) of the roots
-a/b in plain ``int`` and divides by prod of b only on the way out. It
-scales each factor by its own root's denominator, never by the lcm B
-that :func:`clear_denominators` gives: ``from-roots`` sums the roots'
-powers directly on B, and the two sides of its agreement check must not
-share one scaling.
+``poly_from_roots`` runs in ``int``, scaling each factor (b*x - a) by
+its own root's denominator and never by the lcm B of
+:func:`clear_denominators`, on which ``from-roots`` sums the roots.
 
 Tuples and star-arguments on a request's path are built from lists,
 never from generators. CPython sizes a tuple built from a generator by

@@ -10,13 +10,9 @@ Roots are exact rationals only. The identities hold for arbitrary
 roots, but exactness of the comparison is what makes this module a
 usable cross-check.
 
-Every loop here runs in ``int``, scaled from this module's own inputs
-and never by the s the recurrence and the series clear denominators
-with. The roots are written a_i/B, B the lcm of their denominators, so
-p_k is (sum of a_i**k) / B**k. A window identity is multiplied by B**k
-and by the lcm of the signed coefficients' denominators; a root
-residual p(a/b) by b**n and by the lcm of p's denominators. Multiplying
-an identity by a nonzero integer keeps a zero exactly zero.
+Every loop here runs in ``int``: each identity is multiplied by a
+nonzero integer from its own inputs (B**k for roots a_i/B, b**n for a
+root a/b), never by the kernels' s. See README's "Denominator scaling".
 """
 
 from __future__ import annotations
