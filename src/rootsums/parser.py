@@ -38,11 +38,10 @@ whatever bytes come in. That includes integers longer than
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, Record
 
 # Exponents are capped so a hostile input cannot demand a gigantic dense
 # coefficient table; well above any degree this tool is used at.
@@ -64,8 +63,7 @@ _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _OPERATORS = frozenset("-+^/,")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Record):
     """Where and why an input was rejected.
 
     ``offset`` indexes the offending character, or is one past the end
@@ -74,7 +72,10 @@ class ParseDiagnostic:
 
     offset: int
     message: str
-    expected: tuple[str, ...] = ()
+    expected: tuple[str, ...]
+
+    def __init__(self, offset: int, message: str, expected: tuple[str, ...] = ()):
+        self.__dict__.update(offset=offset, message=message, expected=expected)
 
     def __str__(self) -> str:
         text = f"offset {self.offset}: {self.message}"

@@ -27,13 +27,15 @@ a guess and then resizes it, so the freed tuple lands in another size's
 free list; in a process that serves many requests those free lists
 fill up to their cap, about 2.5 MB held until the cyclic garbage
 collector's next full pass, which may not come for a long time.
+
+``Record``, the base of the immutable records, is not a dataclass: importing
+``dataclasses`` and building eight classes' methods took over half the import.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,8 +44,43 @@ from typing import Iterable, Sequence
 RootMultiset = Sequence[Fraction]
 
 
-@dataclass(frozen=True, init=False)
-class Polynomial:
+class Record:
+    """Base of the immutable records: the fields are the class annotations, in order.
+
+    ``==``, ``hash`` and ``repr`` are a frozen dataclass's, and writes raise
+    ``FrozenInstanceError``. Each subclass's ``__init__`` sets every field.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += tuple(cls.__annotations__)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Polynomial(Record):
     """A univariate polynomial with Fraction coefficients; immutable and hashable.
 
     >>> str(Polynomial([2, -3, 1]))
@@ -128,8 +165,7 @@ class Polynomial:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class SignedCoefficients:
+class SignedCoefficients(Record):
     """Alternating-sign coefficient view of a monic polynomial.
 
     ``values[k-1]`` is (-1)^k times the coefficient of x^(n-k), i.e. the
@@ -140,15 +176,13 @@ class SignedCoefficients:
     degree: int
     values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, degree: int, values: Sequence[Fraction | int]):
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        coerced = tuple([v if type(v) is Fraction else Fraction(v) for v in self.values])
-        if len(coerced) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} signed coefficients, got {len(coerced)}"
-            )
-        object.__setattr__(self, "values", coerced)
+        coerced = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+        if len(coerced) != degree:
+            raise ValueError(f"expected {degree} signed coefficients, got {len(coerced)}")
+        self.__dict__.update(degree=degree, values=coerced)
 
     def truncate(self, k: int) -> SignedCoefficients:
         """The degree-k companion made of the first k signed coefficients.

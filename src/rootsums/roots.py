@@ -17,12 +17,12 @@ root a/b), never by the kernels' s. See README's "Denominator scaling".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .polynomial import (
     Polynomial,
+    Record,
     RootMultiset,
     SignedCoefficients,
     clear_denominators,
@@ -62,8 +62,7 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     return [Fraction(s, scale**k) for k, s in enumerate(sums)]
 
 
-@dataclass(frozen=True)
-class SubstitutionReport:
+class SubstitutionReport(Record):
     """Residuals from substituting claimed roots into a polynomial.
 
     ``root_residuals`` holds (root, p(root)) pairs: every value is zero
@@ -75,6 +74,13 @@ class SubstitutionReport:
 
     root_residuals: tuple[tuple[Fraction, Fraction], ...]
     window_residuals: tuple[tuple[int, Fraction], ...]
+
+    def __init__(
+        self,
+        root_residuals: tuple[tuple[Fraction, Fraction], ...],
+        window_residuals: tuple[tuple[int, Fraction], ...],
+    ):
+        self.__dict__.update(root_residuals=root_residuals, window_residuals=window_residuals)
 
     @property
     def ok(self) -> bool:
@@ -121,8 +127,7 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     return SubstitutionReport(tuple(root_residuals), tuple(window_residuals))
 
 
-@dataclass(frozen=True)
-class TruncationCell:
+class TruncationCell(Record):
     """One comparison: power sum j of the degree-k companion vs the original."""
 
     degree: int
@@ -130,14 +135,19 @@ class TruncationCell:
     truncated: Fraction
     direct: Fraction
 
+    def __init__(self, degree: int, index: int, truncated: Fraction, direct: Fraction):
+        self.__dict__.update(degree=degree, index=index, truncated=truncated, direct=direct)
+
     @property
     def equal(self) -> bool:
         return self.truncated == self.direct
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(Record):
     cells: tuple[TruncationCell, ...]
+
+    def __init__(self, cells: tuple[TruncationCell, ...]):
+        object.__setattr__(self, "cells", cells)
 
     @property
     def ok(self) -> bool:

@@ -23,17 +23,15 @@ denominators, never by s. See README's "Denominator scaling".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 from typing import Sequence
 
 from .newton import InternalError
-from .polynomial import Polynomial, clear_denominators
+from .polynomial import Polynomial, Record, clear_denominators
 
 
-@dataclass(frozen=True)
-class DescendingSeries:
+class DescendingSeries(Record):
     """Truncated formal series in descending powers of x.
 
     ``terms[j]`` is the coefficient of x**(start_exponent - j). Exactly
@@ -45,13 +43,13 @@ class DescendingSeries:
     start_exponent: int
     terms: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, start_exponent: int, terms: Sequence[Fraction | int]):
         # A Fraction is immutable and always reduced, so it is kept, not rebuilt.
         # From a list, as in rootsums.polynomial: a resized tuple fills free lists.
-        terms = [t if type(t) is Fraction else Fraction(t) for t in self.terms]
-        object.__setattr__(self, "terms", tuple(terms))
-        if not self.terms:
+        coerced = [t if type(t) is Fraction else Fraction(t) for t in terms]
+        if not coerced:
             raise ValueError("a series carries at least one term")
+        self.__dict__.update(start_exponent=start_exponent, terms=tuple(coerced))
 
     @property
     def order(self) -> int:
@@ -233,11 +231,13 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     """Residuals of (series for p'/p) * p - p', one per representable exponent."""
 
     residuals: tuple[tuple[int, Fraction], ...]  # (exponent, value), descending
+
+    def __init__(self, residuals: tuple[tuple[int, Fraction], ...]):
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def ok(self) -> bool:
