@@ -10,7 +10,9 @@ a constant) but every root-related operation rejects it.
 polynomial x^n - a1*x^(n-1) + a2*x^(n-2) - ... ± an, in which entry a_k
 equals the k-th elementary symmetric function of the roots. Non-monic
 input is accepted everywhere and normalized by dividing through by the
-leading coefficient, which leaves the roots unchanged.
+leading coefficient, which leaves the roots unchanged. ``_alternate``
+is the one place that sign convention is written; ``to_signed`` and
+``from_signed`` both go through it.
 
 A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
 ``Fraction`` is immutable and always reduced, and rebuilding one costs
@@ -195,14 +197,16 @@ class SignedCoefficients(Record):
         return SignedCoefficients(k, self.values[:k])
 
 
+def _alternate(values: Sequence[Fraction]) -> list[Fraction]:
+    """(-1)^k * v_k for k = 1, 2, ...; its own inverse."""
+    return [-v if k % 2 else v for k, v in enumerate(values, start=1)]
+
+
 def to_signed(p: Polynomial) -> SignedCoefficients:
     """Signed-coefficient view of ``p`` after monic normalization."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no signed-coefficient view")
-    coeffs = p.monic().coefficients
-    n = len(coeffs) - 1
-    values = [coeffs[n - k] if k % 2 == 0 else -coeffs[n - k] for k in range(1, n + 1)]
-    return SignedCoefficients(n, tuple(values))
+    return SignedCoefficients(p.degree, _alternate(p.monic().coefficients[-2::-1]))
 
 
 def from_signed(s: SignedCoefficients) -> Polynomial:
@@ -211,11 +215,7 @@ def from_signed(s: SignedCoefficients) -> Polynomial:
     Inverse of :func:`to_signed` on monic polynomials; degree 0 gives
     the constant 1 (empty product).
     """
-    n = s.degree
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    for k in range(1, n + 1):
-        coeffs[n - k] = s.values[k - 1] if k % 2 == 0 else -s.values[k - 1]
-    return Polynomial(coeffs)
+    return Polynomial([*_alternate(s.values)[::-1], 1])
 
 
 def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -12,7 +12,8 @@ usable cross-check.
 
 Every loop here runs in ``int``: each identity is multiplied by a
 nonzero integer from its own inputs (B**k for roots a_i/B, b**n for a
-root a/b), never by the kernels' s. See README's "Denominator scaling".
+root a/b, M for p's denominators), never by the kernels' s. See
+README's "Denominator scaling".
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .polynomial import (
     RootMultiset,
     SignedCoefficients,
     clear_denominators,
-    to_signed,
 )
 from .newton import power_sums_from_coeffs
 
@@ -68,8 +68,10 @@ class SubstitutionReport(Record):
     ``root_residuals`` holds (root, p(root)) pairs: every value is zero
     exactly when the multiset is the complete root multiset of p.
     ``window_residuals`` holds, for each k from deg(p) to k_max, the
-    collected identity p_k - a_1*p_(k-1) + a_2*p_(k-2) - ... evaluated
-    with directly-summed power sums; these too vanish for true roots.
+    collected identity: the sum over the claimed roots r of
+    r**(k-n) * p(r), divided by p's leading coefficient, which is
+    p_k - a_1*p_(k-1) + a_2*p_(k-2) - ... on directly-summed power sums;
+    these too vanish for true roots.
     """
 
     root_residuals: tuple[tuple[Fraction, Fraction], ...]
@@ -102,7 +104,6 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
         raise ValueError(f"expected {n} roots for a degree-{n} polynomial, got {len(roots)}")
     if k_max < n:
         raise ValueError("k_max must be at least the degree")
-    signed = to_signed(p)
     # p(a/b) times M*b**n, with M the lcm of p's denominators: Horner's
     # scheme on the homogenized polynomial, every step an int.
     descending, p_scale = clear_denominators(p.coefficients[::-1])
@@ -114,16 +115,15 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
             b_power *= r.denominator
         residual = Fraction(acc, p_scale * r.denominator**n) if acc else _ZERO
         root_residuals.append((r, residual))
-    # Identity k times B**k and A, the lcm of the signed coefficients'
-    # denominators: A*S_k + w_1*S_(k-1) + ... + w_n*S_(k-n), with
-    # w_i = (-1)^i * A * a_i * B**i. Every term is an int.
+    # Identity k, the sum over the roots r = a_j/B of r**(k-n)*p(r), times
+    # B**k and M: C_0*S_k + C_1*B*S_(k-1) + ... + C_n*B**n*S_(k-n), with
+    # C_i = descending[i]. Every term is an int; C_0 is M times the lead.
     sums, scale = _integer_sums(roots, k_max)
-    cleared, coeff_scale = clear_denominators(signed.values)
-    weights = [(-c if i % 2 else c) * scale**i for i, c in enumerate(cleared, start=1)]
+    weights = [c * scale**i for i, c in enumerate(descending)]
     window_residuals = []
     for k in range(n, k_max + 1):
-        acc = coeff_scale * sums[k] + sum(map(mul, weights, reversed(sums[k - n : k])))
-        window_residuals.append((k, Fraction(acc, coeff_scale * scale**k) if acc else _ZERO))
+        acc = sum(map(mul, weights, reversed(sums[k - n : k + 1])))
+        window_residuals.append((k, Fraction(acc, descending[0] * scale**k) if acc else _ZERO))
     return SubstitutionReport(tuple(root_residuals), tuple(window_residuals))
 
 

@@ -4,22 +4,18 @@
 text and ``--json``, exits 0/1/2 and ``--help``, each with its exit
 code, stdout and stderr. The timing figures of ``bench`` are masked on
 both sides; exit 3 is covered by the monkeypatch tests in test_cli.py.
+``replay_golden.py`` replays the same file through an installed command.
 """
 
 import json
-import re
 from pathlib import Path
 
 import pytest
 
+from replay_golden import GOLDEN, mask_timings
 from rootsums.cli import main
 
-CASES = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
-
-
-def mask_timings(text: str) -> str:
-    text = re.sub(r"(route: +)\d+\.\d+ s", r"\1# s", text)
-    return re.sub(r'(_seconds": )[-+.e0-9]+', r"\1#", text)
+CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -57,3 +53,9 @@ def test_one_parser_serves_requests_in_turn(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (case["out"], case["err"])
     assert len(built) == 1
+
+
+def test_readme_shows_the_recorded_json_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [case] = [c for c in CASES if c["argv"] == ["powersums", "x^2 - 3x + 2", "--k", "3", "--json"]]
+    assert case["out"] in readme
