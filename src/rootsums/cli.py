@@ -197,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     recurrence = power_sums_from_coeffs(signed, args.k)
     series_sums = log_derivative_power_sums(poly, args.k)
     cross = cross_multiplied_check(
-        poly, args.k, series=DescendingSeries(-1, tuple(series_sums))
+        poly, args.k, series=DescendingSeries(-1, series_sums)
     )
     # Each check: name, failures (the first is its residual), lazy text table.
     checks = [

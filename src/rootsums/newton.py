@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomial import SignedCoefficients, from_signed, reciprocal_poly, to_signed
+from .polynomial import SignedCoefficients, exact, from_signed, reciprocal_poly, to_signed
 
 
 class InternalError(RuntimeError):
@@ -135,7 +135,7 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
         raise ValueError(
             f"need power sums p_0..p_{degree}, got only {len(power_sums)} values"
         )
-    sums = [v if type(v) is Fraction else Fraction(v) for v in power_sums[: degree + 1]]
+    sums = exact(power_sums[: degree + 1])
     if sums[0] != degree:
         raise ValueError(f"p_0 is {sums[0]} but must equal the degree {degree}")
     scale = _scale(sums[1:])
@@ -152,7 +152,7 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
         scaled.append(acc)
         denominator *= k * scale
         values.append(Fraction(acc, denominator))
-    return SignedCoefficients(degree, tuple(values))
+    return SignedCoefficients(degree, values)
 
 
 def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction]:

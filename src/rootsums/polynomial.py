@@ -14,21 +14,13 @@ leading coefficient, which leaves the roots unchanged. ``_alternate``
 is the one place that sign convention is written; ``to_signed`` and
 ``from_signed`` both go through it.
 
-A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
-``Fraction`` is immutable and always reduced, and rebuilding one costs
-about as much as the arithmetic that made it. Anything else (an int, a
-``Fraction`` subclass) is converted to a reduced ``Fraction``.
+The records, and every function that takes a sequence of coefficients,
+roots or power sums, make those values exact with :func:`exact`, the one
+place that rule is written.
 
 ``poly_from_roots`` runs in ``int``, scaling each factor (b*x - a) by
 its own root's denominator and never by the lcm B of
 :func:`clear_denominators`, on which ``from-roots`` sums the roots.
-
-Tuples and star-arguments on a request's path are built from lists,
-never from generators. CPython sizes a tuple built from a generator by
-a guess and then resizes it, so the freed tuple lands in another size's
-free list; in a process that serves many requests those free lists
-fill up to their cap, about 2.5 MB held until the cyclic garbage
-collector's next full pass, which may not come for a long time.
 
 ``Record``, the base of the immutable records, is not a dataclass: importing
 ``dataclasses`` and building eight classes' methods took over half the import.
@@ -46,11 +38,31 @@ from typing import Iterable, Sequence
 RootMultiset = Sequence[Fraction]
 
 
+def exact(values: Iterable[Fraction | int]) -> list[Fraction]:
+    """The values as a new list of reduced ``Fraction``s.
+
+    A value that is already a ``Fraction`` is kept as it is, not rebuilt: a
+    ``Fraction`` is immutable and always reduced, and rebuilding one costs
+    about as much as the arithmetic that made it. Anything else (an int, a
+    ``Fraction`` subclass) is converted to a reduced ``Fraction``.
+
+    The result is a list because tuples and star-arguments on a request's
+    path are built from lists, never from generators. CPython sizes a tuple
+    built from a generator by a guess and then resizes it, so the freed
+    tuple lands in another size's free list; in a process that serves many
+    requests those free lists fill up to their cap, about 2.5 MB held until
+    the cyclic garbage collector's next full pass, which may not come for a
+    long time.
+    """
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
 class Record:
     """Base of the immutable records: the fields are the class annotations, in order.
 
     ``==``, ``hash`` and ``repr`` are a frozen dataclass's, and writes raise
-    ``FrozenInstanceError``. Each subclass's ``__init__`` sets every field.
+    ``FrozenInstanceError``. Each subclass's ``__init__`` sets every field
+    with ``self.__dict__.update``.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -92,12 +104,12 @@ class Polynomial(Record):
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, coefficients: Iterable[Fraction | int]):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        coeffs = exact(coefficients)
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        self.__dict__.update(coefficients=tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -181,7 +193,7 @@ class SignedCoefficients(Record):
     def __init__(self, degree: int, values: Sequence[Fraction | int]):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        coerced = tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+        coerced = tuple(exact(values))
         if len(coerced) != degree:
             raise ValueError(f"expected {degree} signed coefficients, got {len(coerced)}")
         self.__dict__.update(degree=degree, values=coerced)
@@ -228,6 +240,10 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+# Every zero residual is this one value; a Fraction is built only for a nonzero one.
+_ZERO = Fraction(0)
+
+
 def poly_from_roots(roots: RootMultiset) -> Polynomial:
     """Monic polynomial with exactly the given roots: prod of (x - r).
 
@@ -240,8 +256,7 @@ def poly_from_roots(roots: RootMultiset) -> Polynomial:
         raise ValueError("at least one root is required")
     coeffs = [1]
     lead = 1
-    for root in roots:
-        r = root if type(root) is Fraction else Fraction(root)
+    for r in exact(roots):
         a, b = r.numerator, r.denominator
         # Multiply by (b*x - a): new[i] = b*old[i-1] - a*old[i].
         coeffs = [b * hi - a * lo for hi, lo in zip([0, *coeffs], [*coeffs, 0])]
@@ -259,9 +274,8 @@ def elementary_symmetric(roots: RootMultiset, k: int) -> Fraction:
     """
     if not 0 <= k <= len(roots):
         raise ValueError(f"k must be in 0..{len(roots)}")
-    values = [Fraction(r) for r in roots]
     total = Fraction(0)
-    for combo in itertools.combinations(values, k):
+    for combo in itertools.combinations(exact(roots), k):
         total += math.prod(combo, start=Fraction(1))
     return total
 
@@ -277,4 +291,4 @@ def reciprocal_poly(p: Polynomial) -> Polynomial:
         raise ValueError("the zero polynomial has no reciprocal")
     if p.coefficients[0] == 0:
         raise ValueError("constant term is zero: a zero root has no reciprocal")
-    return Polynomial(list(reversed(p.coefficients))).monic()
+    return Polynomial(reversed(p.coefficients)).monic()

@@ -22,27 +22,24 @@ from fractions import Fraction
 from operator import mul
 
 from .polynomial import (
+    _ZERO,
     Polynomial,
     Record,
     RootMultiset,
     SignedCoefficients,
     clear_denominators,
+    exact,
 )
 from .newton import power_sums_from_coeffs
 
-# Every zero residual is this one value; a Fraction is built only for a nonzero one.
-_ZERO = Fraction(0)
 
-
-def _integer_sums(roots: RootMultiset, k_max: int) -> tuple[list[int], int]:
-    """S_0..S_k_max with S_k = sum of a_i**k, and B, for roots a_i/B.
+def _integer_sums(roots: list[Fraction], k_max: int) -> tuple[list[int], int]:
+    """S_0..S_k_max with S_k = sum of a_i**k, and B, for exact roots a_i/B.
 
     B is the lcm of the root denominators, so every a_i is an integer
     and p_k = S_k / B**k.
     """
-    numerators, scale = clear_denominators(
-        [r if type(r) is Fraction else Fraction(r) for r in roots]
-    )
+    numerators, scale = clear_denominators(roots)
     sums = [len(numerators)]
     powers = [1] * len(numerators)
     for _ in range(k_max):
@@ -58,7 +55,7 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    sums, scale = _integer_sums(roots, k_max)
+    sums, scale = _integer_sums(exact(roots), k_max)
     return [Fraction(s, scale**k) for k, s in enumerate(sums)]
 
 
@@ -107,8 +104,9 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     # p(a/b) times M*b**n, with M the lcm of p's denominators: Horner's
     # scheme on the homogenized polynomial, every step an int.
     descending, p_scale = clear_denominators(p.coefficients[::-1])
+    roots = exact(roots)
     root_residuals = []
-    for r in [r if type(r) is Fraction else Fraction(r) for r in roots]:
+    for r in roots:
         acc, b_power = 0, 1
         for c in descending:
             acc = acc * r.numerator + c * b_power
@@ -147,7 +145,7 @@ class TruncationReport(Record):
     cells: tuple[TruncationCell, ...]
 
     def __init__(self, cells: tuple[TruncationCell, ...]):
-        object.__setattr__(self, "cells", cells)
+        self.__dict__.update(cells=cells)
 
     @property
     def ok(self) -> bool:

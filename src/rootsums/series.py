@@ -28,7 +28,7 @@ from operator import mul, sub
 from typing import Sequence
 
 from .newton import InternalError
-from .polynomial import Polynomial, Record, clear_denominators
+from .polynomial import _ZERO, Polynomial, Record, clear_denominators, exact
 
 
 class DescendingSeries(Record):
@@ -44,9 +44,7 @@ class DescendingSeries(Record):
     terms: tuple[Fraction, ...]
 
     def __init__(self, start_exponent: int, terms: Sequence[Fraction | int]):
-        # A Fraction is immutable and always reduced, so it is kept, not rebuilt.
-        # From a list, as in rootsums.polynomial: a resized tuple fills free lists.
-        coerced = [t if type(t) is Fraction else Fraction(t) for t in terms]
+        coerced = exact(terms)
         if not coerced:
             raise ValueError("a series carries at least one term")
         self.__dict__.update(start_exponent=start_exponent, terms=tuple(coerced))
@@ -175,13 +173,13 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
         quotient[shift] = top
         work[shift:exp] = map(sub, work[shift:exp], map(top.__mul__, low))
     if scale == 1:
-        return DescendingSeries(-1, tuple(reversed(quotient)))
+        return DescendingSeries(-1, reversed(quotient))
     terms = []
     power = 1
     for c in reversed(quotient):
         power *= scale
         terms.append(Fraction(c, power))
-    return DescendingSeries(-1, tuple(terms))
+    return DescendingSeries(-1, terms)
 
 
 def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
@@ -223,12 +221,8 @@ def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> Descen
     """
     terms, d = clear_denominators(series.terms)
     coeffs, m = clear_denominators(poly.coefficients)
-    product = tuple([Fraction(v, d * m) for v in _product(terms, coeffs)])
+    product = [Fraction(v, d * m) for v in _product(terms, coeffs)]
     return DescendingSeries(series.start_exponent + poly.degree, product)
-
-
-# Every zero residual is this one value; a Fraction is built only for a nonzero one.
-_ZERO = Fraction(0)
 
 
 class CrossCheckReport(Record):
@@ -237,7 +231,7 @@ class CrossCheckReport(Record):
     residuals: tuple[tuple[int, Fraction], ...]  # (exponent, value), descending
 
     def __init__(self, residuals: tuple[tuple[int, Fraction], ...]):
-        object.__setattr__(self, "residuals", residuals)
+        self.__dict__.update(residuals=residuals)
 
     @property
     def ok(self) -> bool:

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rootsums import (
+    DescendingSeries,
     ExactScalar,
     Polynomial,
     SignedCoefficients,
+    coeffs_from_power_sums,
     elementary_symmetric,
     from_signed,
     poly_from_roots,
+    power_sums_direct,
     reciprocal_poly,
     to_signed,
+    verify_by_substitution,
 )
 
 F = ExactScalar
@@ -142,14 +146,34 @@ def test_fraction_values_are_kept_and_others_converted():
     # Exact values are kept as the same objects; ints and Fraction
     # subclasses become reduced Fractions.
     kept = (F(2, 3), F(-5), F(1, 7))
+    mixed = kept + (4, FractionSubclass(6, 4))
+    report = verify_by_substitution(Polynomial([0, 0, 0, 0, 0, 1]), mixed, 5)
     for values in (
-        Polynomial(kept + (4, FractionSubclass(6, 4))).coefficients,
-        SignedCoefficients(5, kept + (4, FractionSubclass(6, 4))).values,
+        Polynomial(mixed).coefficients,
+        SignedCoefficients(5, mixed).values,
+        DescendingSeries(-1, mixed).terms,
+        tuple([root for root, _ in report.root_residuals]),
     ):
         assert all(value is given for value, given in zip(values, kept))
         assert values[3:] == (F(4), F(3, 2))
         assert all(type(v) is F for v in values)
         assert (values[4].numerator, values[4].denominator) == (3, 2)
+
+    # The functions that only read their values give what the same
+    # Fractions give.
+    converted = [F(4), F(3, 2)]
+    given = [4, FractionSubclass(6, 4)]
+    for result, expected in (
+        (poly_from_roots(given).coefficients, poly_from_roots(converted).coefficients),
+        (power_sums_direct(given, 3), power_sums_direct(converted, 3)),
+        (
+            coeffs_from_power_sums([2, FractionSubclass(11, 2), F(73, 4)], 2).values,
+            [F(11, 2), F(6)],
+        ),
+        ([elementary_symmetric(given, 2)], [F(6)]),
+    ):
+        assert list(result) == list(expected)
+        assert all(type(v) is F for v in result)
 
 
 def test_truncate_keeps_leading_signed_coefficients():
