@@ -137,6 +137,7 @@ def _cmd_powersums(args: argparse.Namespace) -> _Result:
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
     _require(args.n >= 0, "--n must be nonnegative")
+    _require(args.n <= MAX_EXPONENT, f"--n must be at most {MAX_EXPONENT}")
     entries = parse_rational_list(args.powersums)
     if len(entries) < args.n:
         raise ValueError(
@@ -160,6 +161,7 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
 def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     _require_k(args)
     roots = parse_rational_list(args.roots)
+    _require(len(roots) <= MAX_EXPONENT, f"from-roots takes at most {MAX_EXPONENT} roots")
     poly = poly_from_roots(roots)
     direct = power_sums_direct(roots, args.k)
     recurrence = power_sums_from_coeffs(to_signed(poly), args.k)

@@ -516,6 +516,46 @@ def test_k_over_the_cap_exits_one_before_any_route(capsys, monkeypatch, argv):
         main([*argv, "--k", str(cli.MAX_K)])
 
 
+@pytest.mark.parametrize(
+    "over, at_cap, message",
+    [
+        # "x" is no list: the --n cap comes before the list is parsed.
+        (
+            ["coeffs", "--n", "10001", "--powersums", "x"],
+            ["coeffs", "--n", "10000", "--powersums", ",".join(["0"] * 10000)],
+            "--n must be at most 10000",
+        ),
+        (
+            ["from-roots", ",".join(["0"] * 10001), "--k", "1"],
+            ["from-roots", ",".join(["0"] * 10000), "--k", "1"],
+            "from-roots takes at most 10000 roots",
+        ),
+    ],
+    ids=["coeffs", "from-roots"],
+)
+def test_size_over_the_cap_exits_one_before_any_route(
+    capsys, monkeypatch, over, at_cap, message
+):
+    import rootsums.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a route ran before the size was checked")
+
+    for name in (
+        "coeffs_from_power_sums",
+        "poly_from_roots",
+        "power_sums_direct",
+        "power_sums_from_coeffs",
+        "log_derivative_power_sums",
+    ):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, *over)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    with pytest.raises(AssertionError, match="a route ran"):
+        main(at_cap)
+
+
 def test_bench_degree_over_the_cap_exits_one(capsys):
     code, out, err = run(capsys, "bench", "--degree", "10001", "--k", "1")
     assert (code, out) == (1, "")
