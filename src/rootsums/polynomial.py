@@ -14,9 +14,9 @@ leading coefficient, which leaves the roots unchanged. ``_alternate``
 is the one place that sign convention is written; ``to_signed`` and
 ``from_signed`` both go through it.
 
-The records, and every function that takes a sequence of coefficients,
-roots or power sums, make those values exact with :func:`exact`, the one
-place that rule is written.
+The records, and every exported function that takes a sequence of
+coefficients, roots or power sums, make those values exact with
+:func:`exact`, the one place that rule is written.
 
 ``poly_from_roots`` runs in ``int``, scaling each factor (b*x - a) by
 its own root's denominator and never by the lcm B of
