@@ -28,13 +28,8 @@ from functools import cache, partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
-from .polynomial import Polynomial, from_signed, poly_from_roots, to_signed
-from .newton import (
-    InternalError,
-    coeffs_from_power_sums,
-    negative_power_sums,
-    power_sums_from_coeffs,
-)
+from .polynomial import InternalError, Polynomial, from_signed, poly_from_roots, to_signed
+from .newton import coeffs_from_power_sums, negative_power_sums, power_sums_from_coeffs
 from .series import (
     DescendingSeries,
     cross_multiplied_check,
@@ -296,7 +291,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Result:
     _require(args.degree >= 1, "--degree must be at least 1")
     _require(args.k >= 1, "--k must be at least 1")
     _require(args.degree <= MAX_EXPONENT, f"--degree must be at most {MAX_EXPONENT}")
-    _require(args.k <= MAX_K, f"--k must be at most {MAX_K}")
+    _require_k(args)
     rng = random.Random(args.seed)
     coefficients = [rng.randint(-9, 9) for _ in range(args.degree)] + [1]
     poly = Polynomial(coefficients)
@@ -332,9 +327,6 @@ def _unlimited_int_digits():
     options before the limit is lifted, and the parser refuses longer
     literals before converting them.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        yield
-        return
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -32,11 +32,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomial import SignedCoefficients, exact, from_signed, reciprocal_poly, to_signed
-
-
-class InternalError(RuntimeError):
-    """A self-check inside a kernel failed; never expected on correct code."""
+from .polynomial import (
+    InternalError,
+    SignedCoefficients,
+    exact,
+    from_signed,
+    reciprocal_poly,
+    to_signed,
+)
 
 
 def _window(weights: Sequence, sums: Sequence, k: int, width: int):

@@ -16,7 +16,9 @@ is the one place that sign convention is written; ``to_signed`` and
 
 The records, and every exported function that takes a sequence of
 coefficients, roots or power sums, make those values exact with
-:func:`exact`, the one place that rule is written.
+:func:`exact`, the one place that rule is written. ``InternalError``, what
+a kernel raises when one of its self-checks fails, is defined beside it,
+so that no route module imports another for it.
 
 ``poly_from_roots`` runs in ``int``, scaling each factor (b*x - a) by
 its own root's denominator and never by the lcm B of
@@ -55,6 +57,10 @@ def exact(values: Iterable[Fraction | int]) -> list[Fraction]:
     long time.
     """
     return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
+class InternalError(RuntimeError):
+    """A self-check inside a kernel failed; never expected on correct code."""
 
 
 class Record:

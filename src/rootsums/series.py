@@ -27,8 +27,7 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import Sequence
 
-from .newton import InternalError
-from .polynomial import _ZERO, Polynomial, Record, clear_denominators, exact
+from .polynomial import _ZERO, InternalError, Polynomial, Record, clear_denominators, exact
 
 
 class DescendingSeries(Record):
@@ -260,7 +259,7 @@ def cross_multiplied_check(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if series is None:
-        series = divide_descending(p.derivative(), p, k_max + 1)
+        series = DescendingSeries(-1, log_derivative_power_sums(p, k_max))
     # The identity times D*M, with D and M the lcms of the series' and of
     # p's denominators: every term is an int and a zero stays exactly zero.
     terms, d = clear_denominators(series.terms)
