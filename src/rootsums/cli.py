@@ -36,7 +36,12 @@ from .series import (
     descending_text,
     log_derivative_power_sums,
 )
-from .roots import power_sums_direct, truncation_report, verify_by_substitution
+from .roots import (
+    power_sums_direct,
+    require_root_count,
+    truncation_report,
+    verify_by_substitution,
+)
 from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
 
 EXIT_OK = 0
@@ -189,6 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             args.k >= poly.degree,
             "--k must be at least the polynomial degree when --roots is given",
         )
+        require_root_count(poly, roots)
 
     signed = to_signed(poly)
     recurrence = power_sums_from_coeffs(signed, args.k)
@@ -215,8 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     ]
     if args.roots is not None:
         subst = verify_by_substitution(poly, roots, args.k)
-        # k >= degree >= 1 here (degree 0 fails in the series route), so
-        # the grid covers every truncation degree and is never empty.
+        # k >= degree >= 1 here (degree 0 fails the root count, as the
+        # parser returns at least one root), so the grid covers every
+        # truncation degree and is never empty.
         grid = truncation_report(signed, roots, poly.degree)
         checks += [
             (

@@ -88,17 +88,23 @@ class SubstitutionReport(Record):
         )
 
 
+def require_root_count(p: Polynomial, roots: RootMultiset) -> int:
+    """p's degree n, after checking that ``roots`` claims exactly n roots."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root multiset")
+    n = p.degree
+    if len(roots) != n:
+        raise ValueError(f"expected {n} roots for a degree-{n} polynomial, got {len(roots)}")
+    return n
+
+
 def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> SubstitutionReport:
     """Check a claimed root multiset against p, without failing fast.
 
     Wrong roots produce nonzero residuals in the report, not an error;
     only a size mismatch (or k_max below the degree) is rejected.
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root multiset")
-    n = p.degree
-    if len(roots) != n:
-        raise ValueError(f"expected {n} roots for a degree-{n} polynomial, got {len(roots)}")
+    n = require_root_count(p, roots)
     if k_max < n:
         raise ValueError("k_max must be at least the degree")
     # p(a/b) times M*b**n, with M the lcm of p's denominators: Horner's

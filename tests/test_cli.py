@@ -462,10 +462,18 @@ def test_results_past_the_int_digit_limit_print(capsys):
 def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
     import rootsums.cli as cli
 
-    def must_not_run(*args):
+    def must_not_run(*args, **kwargs):
         raise AssertionError("a route ran before --roots was checked")
 
-    monkeypatch.setattr(cli, "power_sums_from_coeffs", must_not_run)
+    for name in (
+        "to_signed",
+        "power_sums_from_coeffs",
+        "log_derivative_power_sums",
+        "cross_multiplied_check",
+        "verify_by_substitution",
+        "truncation_report",
+    ):
+        monkeypatch.setattr(cli, name, must_not_run)
     poly = "x^8 - 3x^7 + 2x^5 - x^4 + 7x^3 - 2x + 5"
     code, out, err = run(capsys, "verify", poly, "--roots", "1,", "--k", "3000")
     assert (code, out) == (1, "")
@@ -473,6 +481,9 @@ def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "x^2 - 1", "--roots", "1,-1", "--k", "1")
     assert (code, out) == (1, "")
     assert "at least the polynomial degree" in err
+    code, out, err = run(capsys, "verify", poly, "--roots", "1,2,3", "--k", "3000")
+    assert (code, out) == (2, "")
+    assert err == "error: expected 8 roots for a degree-8 polynomial, got 3\n"
 
 
 def test_exponent_over_the_cap_exits_one(capsys):
