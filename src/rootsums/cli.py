@@ -5,7 +5,9 @@ negpowers, bench. Each command builds one payload that holds its values
 exact. ``--json`` prints it as a JSON object in which the encoder writes
 every rational as a "num/den" string (JSON numbers would be lossy);
 otherwise it is rendered as a human-readable table, which converts only
-the values it prints.
+the values it prints. ``series`` prints every value in both modes, so
+its payload holds the "num/den" strings, converted once for both of its
+fields.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -73,8 +75,9 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 
 
 # What a command returns: its payload (the --json object, every rational an
-# exact Fraction that the encoder writes as a "num/den" string) and the
-# function that renders it as text.
+# exact Fraction that the encoder writes as a "num/den" string, except in
+# series, which holds those strings already) and the function that renders
+# it as text.
 _Result = tuple[dict, Callable[[dict], str]]
 
 

@@ -10,6 +10,11 @@ Roots are exact rationals only. The identities hold for arbitrary
 roots, but exactness of the comparison is what makes this module a
 usable cross-check.
 
+``truncation_report`` is the one function here that runs two routes: it
+compares the recurrence of :mod:`rootsums.newton` on each lower-degree
+companion with the direct sums, so it is the one import of another
+route module.
+
 Every loop here runs in ``int``: each identity is multiplied by a
 nonzero integer from its own inputs (B**k for roots a_i/B, b**n for a
 root a/b, M for p's denominators), never by the kernels' s. See
