@@ -13,7 +13,7 @@ import contextlib
 import io
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from rootsums import Polynomial, poly_from_roots
 from rootsums.cli import main
@@ -88,7 +88,7 @@ def requests(draw) -> list[str]:
 
 
 @seed(2007)
-@settings(max_examples=600, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=600, database=None, deadline=None)
 @given(requests())
 def test_every_request_exits_zero_one_or_two_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
