@@ -4,9 +4,9 @@ Every subcommand with each of its options, at small sizes: degree at
 most 6, ``--k``, ``--n`` and ``--degree`` in -1..13, root lists with
 zeros, repeats and rationals, ``--json`` on and off. An option may be
 missing, a list or polynomial malformed, and a leading "-" may come
-without the "--" terminator or the "--opt=value" form. Whatever the request, the exit code is 0,
-1 or 2, stderr holds no traceback, and an exit 1 prints nothing on
-stdout.
+without the "--" terminator or the "--opt=value" form. Whatever the
+request, the exit code is 0, 1 or 2, stderr holds no traceback, and an
+exit 1 prints nothing on stdout.
 """
 
 import contextlib
