@@ -118,11 +118,12 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
     """Expand numerator/denominator as c_1/x + c_2/x^2 + ... + c_order/x^order.
 
     The result is the unique series with numerator/denominator minus the
-    series vanishing to order x^(-order-1). Computed by iterated long
-    division: shift the numerator up by x^order, divide, and read the
-    series coefficients off the quotient (quotient exponent order - j
-    carries c_j). Requires deg(numerator) < deg(denominator) so the
-    expansion starts at 1/x or lower.
+    series vanishing to order x^(-order-1). Computed by long division
+    that keeps only a remainder of n = deg(denominator) coefficients:
+    each step multiplies the remainder by x, takes its x^n coefficient
+    as the next c_j, and subtracts c_j times the monic denominator, so
+    the terms come out in order. Requires deg(numerator) <
+    deg(denominator) so the expansion starts at 1/x or lower.
 
     The division runs on plain ``int``. Both polynomials are first
     divided by the denominator's leading coefficient. With n =
@@ -162,20 +163,20 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
         return out
 
     low = scaled(den)
-    work = [0] * order + scaled(num)
-    quotient = [0] * order
-    for exp in range(len(work) - 1, width - 1, -1):
-        top = work[exp]
-        if top == 0:
-            continue
-        shift = exp - width
-        quotient[shift] = top
-        work[shift:exp] = map(sub, work[shift:exp], map(top.__mul__, low))
+    rem = scaled(num) + [0] * (width - len(num))  # x^i coefficient at i
+    quotient = []  # C_1, C_2, ...
+    for _ in range(order):
+        # x times the remainder: its x^n coefficient is the next C_j.
+        rem.insert(0, 0)
+        top = rem.pop()
+        quotient.append(top)
+        if top:
+            rem = list(map(sub, rem, map(top.__mul__, low)))
     if scale == 1:
-        return DescendingSeries(-1, reversed(quotient))
+        return DescendingSeries(-1, quotient)
     terms = []
     power = 1
-    for c in reversed(quotient):
+    for c in quotient:
         power *= scale
         terms.append(Fraction(c, power))
     return DescendingSeries(-1, terms)

@@ -47,6 +47,15 @@ def test_divide_descending_exact_division():
     assert series.terms == (F(1), F(0))
 
 
+def test_divide_descending_degenerate_shapes():
+    # A constant denominator leaves an empty remainder; only a zero
+    # numerator sits below it.
+    assert divide_descending(Polynomial([0]), Polynomial([3]), 2).terms == (F(0), F(0))
+    # 1/(x^2 + 1) = 1/x^2 - 1/x^4 + ..., a numerator two degrees below
+    series = divide_descending(Polynomial([1]), Polynomial([1, 0, 1]), 5)
+    assert series.terms == (F(0), F(1), F(0), F(-1), F(0))
+
+
 def test_divide_descending_validations():
     with pytest.raises(ZeroDivisionError):
         divide_descending(Polynomial([1]), Polynomial([0]), 2)
