@@ -32,14 +32,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomial import (
-    InternalError,
-    SignedCoefficients,
-    exact,
-    from_signed,
-    reciprocal_poly,
-    to_signed,
-)
+from .polynomial import InternalError, SignedCoefficients, exact
 
 
 def _window(weights: Sequence, sums: Sequence, k: int, width: int):
@@ -161,10 +154,15 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
 def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
     """q_0..q_k_max with q_k the sum of the (-k)-th powers of the roots.
 
-    Realized as the ordinary power sums of the reciprocal polynomial,
-    whose roots are the reciprocals of the original's. Requires a
-    nonzero product of roots (last signed coefficient), i.e. no zero
-    root; q_0 = n as usual.
+    Realized as the ordinary power sums of the reciprocal roots, read
+    off the signed view: with e_0 = 1, the reciprocals' k-th elementary
+    symmetric function is e_(n-k)/e_n, so their signed coefficients are
+    v_(n-1)/v_n, ..., v_1/v_n, 1/v_n. Requires a nonzero product of
+    roots v_n (last signed coefficient), i.e. no zero root; q_0 = n as
+    usual, and degree 0 gives all zeros.
     """
-    flipped = reciprocal_poly(from_signed(signed))
-    return power_sums_from_coeffs(to_signed(flipped), k_max)
+    *rest, last = 1, *signed.values
+    if last == 0:
+        raise ValueError("constant term is zero: a zero root has no reciprocal")
+    flipped = SignedCoefficients(signed.degree, [e / last for e in reversed(rest)])
+    return power_sums_from_coeffs(flipped, k_max)

@@ -1,16 +1,18 @@
 """Recurrence regimes, inversion, and negative power sums."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rootsums import (
     ExactScalar,
     SignedCoefficients,
     coeffs_from_power_sums,
+    from_signed,
     negative_power_sums,
     poly_from_roots,
     power_sums_direct,
     power_sums_from_coeffs,
+    reciprocal_poly,
     to_signed,
 )
 
@@ -149,11 +151,25 @@ def test_negative_power_sums_examples():
     assert negative_power_sums(s, 3) == [2, F(3, 2), F(5, 4), F(9, 8)]
     all_ones = to_signed(poly_from_roots([1, 1, 1]))
     assert negative_power_sums(all_ones, 4) == [3, 3, 3, 3, 3]
+    # no roots, so no reciprocals: every sum is 0
+    assert negative_power_sums(SignedCoefficients(0, ()), 3) == [0, 0, 0, 0]
 
 
 def test_negative_power_sums_need_nonzero_product():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a zero root has no reciprocal"):
         negative_power_sums(SignedCoefficients(2, (1, 0)), 1)  # x^2 - x
+
+
+@given(
+    st.one_of(st.just(SignedCoefficients(0, ())), signed_coeffs),
+    st.integers(min_value=0, max_value=12),
+)
+def test_negative_sums_match_the_reciprocal_polynomial(s, k_max):
+    # Irrational roots too: the signed view read backwards against the
+    # reversed, monic polynomial.
+    assume(s.degree == 0 or s.values[-1] != 0)
+    flipped = to_signed(reciprocal_poly(from_signed(s)))
+    assert negative_power_sums(s, k_max) == power_sums_from_coeffs(flipped, k_max)
 
 
 def test_window_extends_to_minus_one():
