@@ -215,6 +215,18 @@ def test_from_roots_disagreement_wiring_exits_three(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_bench_disagreement_wiring_exits_three(capsys, monkeypatch):
+    import rootsums.cli as cli
+
+    monkeypatch.setattr(
+        cli, "log_derivative_power_sums", lambda p, k: [p.degree + 1] * (k + 1)
+    )
+    code, out, err = run(capsys, "bench", "--degree", "2", "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert "disagree" in err
+
+
 def test_help_documents_the_grammar(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -299,13 +311,20 @@ def test_module_is_runnable():
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "rootsums.cli", "powersums", "x^2 - 3x + 2", "--k", "2"],
-        capture_output=True,
-        text=True,
-    )
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rootsums.cli", *argv], capture_output=True, text=True
+        )
+
+    proc = run_module("powersums", "x^2 - 3x + 2", "--k", "2")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].endswith("5")
+    proc = run_module("powersums", "x^2 -", "--k", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("parse error: offset 5")
+    proc = run_module("series", "3", "--k", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
 
 
 def test_negative_leading_input_after_option_terminator(capsys):
@@ -457,6 +476,48 @@ def test_results_past_the_int_digit_limit_print(capsys):
     assert code == 0
     assert payload["power_sums"][-1] == expected
     assert sys.get_int_max_str_digits() == limit
+
+
+def _exhausted(*args):
+    raise MemoryError
+
+
+def _disagreeing(p, k):
+    return [p.degree + 1] * (k + 1)
+
+
+# One request per way out of main: (argv, patched cli name and stand-in, exit).
+LIMIT_EXITS = {
+    "ok": (("powersums", "x^2 - 3x + 1", "--k", "3"), None, 0),
+    "usage": (("powersums", "x^2", "--k"), None, 1),
+    "parse-error": (("powersums", "x^2 -", "--k", "1"), None, 1),
+    "negative-k": (("powersums", "x^2", "--k", "-1"), None, 1),
+    "memory": (("powersums", "x - 2", "--k", "3"), ("power_sums_from_coeffs", _exhausted), 1),
+    "domain": (("series", "5", "--k", "1"), None, 2),
+    "failed-check": (("verify", "x^2 - 3x + 2", "--roots", "1,3", "--k", "4"), None, 2),
+    "disagreement": (
+        ("from-roots", "1,2", "--k", "2"),
+        ("log_derivative_power_sums", _disagreeing),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize(("argv", "patch", "exit_code"), LIMIT_EXITS.values(), ids=LIMIT_EXITS)
+def test_int_digit_limit_is_restored_on_every_exit(capsys, monkeypatch, argv, patch, exit_code):
+    import sys
+
+    import rootsums.cli as cli
+
+    if patch:
+        monkeypatch.setattr(cli, *patch)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, *argv)[0] == exit_code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
