@@ -19,7 +19,6 @@ passed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import random
@@ -197,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             args.k >= poly.degree,
             "--k must be at least the polynomial degree when --roots is given",
         )
-        require_root_count(poly, roots)
+        require_root_count(poly.degree, roots)
 
     signed = to_signed(poly)
     recurrence = power_sums_from_coeffs(signed, args.k)
@@ -327,24 +326,6 @@ def _cmd_bench(args: argparse.Namespace) -> _Result:
     return payload, _bench_text
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift CPython's int-to-str digit limit while a command runs.
-
-    Exact results legitimately grow past the default 4,300 digits and
-    must still print. The limit guards int() against huge strings, and
-    no such string reaches int() here: argparse converts the integer
-    options before the limit is lifted, and the parser refuses longer
-    literals before converting them.
-    """
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="rootsums",
@@ -421,10 +402,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # Lift CPython's int-to-str digit limit while the command runs: exact
+    # results legitimately grow past the default 4,300 digits and must
+    # still print. The limit guards int() against huge strings, and no
+    # such string reaches int() here: argparse has converted the integer
+    # options above, and the parser refuses longer literals before
+    # converting them.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        with _unlimited_int_digits():
-            payload, render = args.handler(args)
-            print(json.dumps(payload, default=str) if args.json else render(payload))
+        payload, render = args.handler(args)
+        print(json.dumps(payload, default=str) if args.json else render(payload))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -441,12 +429,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK if all(c["pass"] for c in payload["checks"]) else EXIT_MATH
 
 
-def entry() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -93,18 +93,11 @@ class SubstitutionReport(Record):
         )
 
 
-def _require_count(n: int, roots: RootMultiset) -> int:
+def require_root_count(n: int, roots: RootMultiset) -> int:
     """n, after checking that ``roots`` claims exactly n roots."""
     if len(roots) != n:
         raise ValueError(f"expected {n} roots for a degree-{n} polynomial, got {len(roots)}")
     return n
-
-
-def require_root_count(p: Polynomial, roots: RootMultiset) -> int:
-    """p's degree n, after checking that ``roots`` claims exactly n roots."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root multiset")
-    return _require_count(p.degree, roots)
 
 
 def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> SubstitutionReport:
@@ -113,7 +106,9 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     Wrong roots produce nonzero residuals in the report, not an error;
     only a size mismatch (or k_max below the degree) is rejected.
     """
-    n = require_root_count(p, roots)
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root multiset")
+    n = require_root_count(p.degree, roots)
     if k_max < n:
         raise ValueError("k_max must be at least the degree")
     # p(a/b) times M*b**n, with M the lcm of p's denominators: Horner's
@@ -182,7 +177,7 @@ def truncation_report(signed: SignedCoefficients, roots: RootMultiset, k_max: in
     whenever j <= k; j = 0 is excluded since the companion has k roots,
     not n.
     """
-    n = _require_count(signed.degree, roots)
+    n = require_root_count(signed.degree, roots)
     if not 0 <= k_max <= n:
         raise ValueError("k_max must be in 0..degree")
     direct = power_sums_direct(roots, k_max)
