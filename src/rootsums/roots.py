@@ -104,7 +104,8 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     """Check a claimed root multiset against p, without failing fast.
 
     Wrong roots produce nonzero residuals in the report, not an error;
-    only a size mismatch (or k_max below the degree) is rejected.
+    only the zero polynomial, a size mismatch or k_max below the degree
+    is rejected.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root multiset")

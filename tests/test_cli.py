@@ -19,6 +19,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def exhausted(*args):
+    raise MemoryError
+
+
+def disagreeing(p, k):
+    """A stand-in series route whose sums no other route gives."""
+    return [p.degree + 1] * (k + 1)
+
+
 def test_powersums_table(capsys):
     code, out, _ = run(capsys, "powersums", "x^2 - 3x + 2", "--k", "3")
     assert code == 0
@@ -206,9 +215,7 @@ def test_from_roots_disagreement_wiring_exits_three(capsys, monkeypatch):
     # The routes cannot actually disagree; fake one to prove the exit path.
     import rootsums.cli as cli
 
-    monkeypatch.setattr(
-        cli, "log_derivative_power_sums", lambda p, k: [p.degree + 1] * (k + 1)
-    )
+    monkeypatch.setattr(cli, "log_derivative_power_sums", disagreeing)
     code, out, err = run(capsys, "from-roots", "1,2", "--k", "2")
     assert code == 3
     assert out == ""
@@ -218,9 +225,7 @@ def test_from_roots_disagreement_wiring_exits_three(capsys, monkeypatch):
 def test_bench_disagreement_wiring_exits_three(capsys, monkeypatch):
     import rootsums.cli as cli
 
-    monkeypatch.setattr(
-        cli, "log_derivative_power_sums", lambda p, k: [p.degree + 1] * (k + 1)
-    )
+    monkeypatch.setattr(cli, "log_derivative_power_sums", disagreeing)
     code, out, err = run(capsys, "bench", "--degree", "2", "--k", "2")
     assert code == 3
     assert out == ""
@@ -478,26 +483,18 @@ def test_results_past_the_int_digit_limit_print(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def _exhausted(*args):
-    raise MemoryError
-
-
-def _disagreeing(p, k):
-    return [p.degree + 1] * (k + 1)
-
-
 # One request per way out of main: (argv, patched cli name and stand-in, exit).
 LIMIT_EXITS = {
     "ok": (("powersums", "x^2 - 3x + 1", "--k", "3"), None, 0),
     "usage": (("powersums", "x^2", "--k"), None, 1),
     "parse-error": (("powersums", "x^2 -", "--k", "1"), None, 1),
     "negative-k": (("powersums", "x^2", "--k", "-1"), None, 1),
-    "memory": (("powersums", "x - 2", "--k", "3"), ("power_sums_from_coeffs", _exhausted), 1),
+    "memory": (("powersums", "x - 2", "--k", "3"), ("power_sums_from_coeffs", exhausted), 1),
     "domain": (("series", "5", "--k", "1"), None, 2),
     "failed-check": (("verify", "x^2 - 3x + 2", "--roots", "1,3", "--k", "4"), None, 2),
     "disagreement": (
         ("from-roots", "1,2", "--k", "2"),
-        ("log_derivative_power_sums", _disagreeing),
+        ("log_derivative_power_sums", disagreeing),
         3,
     ),
 }
@@ -636,9 +633,6 @@ def test_bench_degree_over_the_cap_exits_one(capsys):
 
 def test_out_of_memory_exits_one(capsys, monkeypatch):
     import rootsums.cli as cli
-
-    def exhausted(*args):
-        raise MemoryError
 
     monkeypatch.setattr(cli, "power_sums_from_coeffs", exhausted)
     code, out, err = run(capsys, "powersums", "x - 2", "--k", "3")
