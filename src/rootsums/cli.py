@@ -1,13 +1,19 @@
 """Command-line surface.
 
 Subcommands: powersums, coeffs, series, from-roots, verify, truncate,
-negpowers, bench. Each command builds one payload that holds its values
-exact. ``--json`` prints it as a JSON object in which the encoder writes
-every rational as a "num/den" string (JSON numbers would be lossy);
-otherwise it is rendered as a human-readable table, which converts only
-the values it prints. ``series`` prints every value in both modes, so
-its payload holds the "num/den" strings, converted once for both of its
-fields.
+negpowers, bench. Each command builds one payload. ``--json`` prints it
+as a JSON object in which every rational is a "num/den" string (JSON
+numbers would be lossy); otherwise it is rendered as a human-readable
+table.
+
+``powersums``, ``series``, ``negpowers`` and ``from-roots`` print every
+value in both modes. They take each route's scaled integers P_k and its
+scale s from the route's kernel, write each value's "num/den" straight
+from (P_k, s^k), and build no ``Fraction``; ``from-roots`` compares its
+three routes on those integers before writing any. Their payloads hold
+the strings. The other commands hold their values as exact
+``Fraction``s, which the encoder and the text renderers convert only
+where they print them.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -30,16 +37,26 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .polynomial import InternalError, Polynomial, from_signed, poly_from_roots, to_signed
-from .newton import coeffs_from_power_sums, negative_power_sums, power_sums_from_coeffs
+# negative_power_sums and power_sums_direct are not called here, but stay
+# importable: perfbench/spans.py wraps each route's public name in this module.
+from .newton import (
+    coeffs_from_power_sums,
+    negative_power_sums,
+    power_sums_from_coeffs,
+    scaled_negative_power_sums,
+    scaled_power_sums,
+)
 from .series import (
     DescendingSeries,
     cross_multiplied_check,
     descending_text,
     log_derivative_power_sums,
+    scaled_log_derivative,
 )
 from .roots import (
     power_sums_direct,
     require_root_count,
+    scaled_direct_sums,
     truncation_report,
     verify_by_substitution,
 )
@@ -74,9 +91,9 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 
 
 # What a command returns: its payload (the --json object, every rational an
-# exact Fraction that the encoder writes as a "num/den" string, except in
-# series, which holds those strings already) and the function that renders
-# it as text.
+# exact Fraction that the encoder writes as a "num/den" string, or that
+# string already, where a command prints from scaled integers) and the
+# function that renders it as text.
 _Result = tuple[dict, Callable[[dict], str]]
 
 
@@ -118,6 +135,53 @@ def _sums_payload(
     }
 
 
+def _ratio(numerator: int, scale: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms, as str(Fraction) writes it.
+
+    The denominator is a power of scale, so it has no prime that scale
+    lacks: a numerator coprime to scale is coprime to it, and the pair is
+    already reduced. Any other pair is divided by its gcd, the one
+    Fraction would compute.
+    """
+    if math.gcd(numerator, scale) != 1:
+        common = math.gcd(numerator, denominator)
+        numerator //= common
+        denominator //= common
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+
+
+def _texts(sums: list[int], scale: int, start: int = 0) -> list[str]:
+    """The strings of sums[k]/scale**(k + start), k = 0, 1, ..."""
+    out = []
+    power = scale**start
+    for v in sums:
+        out.append(_ratio(v, scale, power))
+        power *= scale
+    return out
+
+
+def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int], shift: int = 0) -> bool:
+    """Whether x_k/s**k == y_k/t**(k + shift) for every k, with a = (x, s), b = (y, t).
+
+    Where every power of s equals the matching power of t (equal scales
+    and no shift, or both scales 1), the integers are compared; otherwise
+    each pair is cross-multiplied, x_k*t**(k + shift) == y_k*s**k, which
+    holds exactly when the two reduced values are equal.
+    """
+    (x, s), (y, t) = a, b
+    if len(x) != len(y):
+        return False
+    if s == t and (s == 1 or not shift):
+        return x == y
+    s_power, t_power = 1, t**shift
+    for u, v in zip(x, y):
+        if u * t_power != v * s_power:
+            return False
+        s_power *= s
+        t_power *= t
+    return True
+
+
 def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> list[str]:
     """Two aligned columns: keys to the left, values to the right."""
     key_width = max(len(k) for k, _ in rows)
@@ -133,7 +197,7 @@ def _sums_text(payload: dict, symbol: str = "p") -> str:
 def _cmd_powersums(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
-    sums = power_sums_from_coeffs(to_signed(poly), args.k)
+    sums = _texts(*scaled_power_sums(to_signed(poly), args.k))
     return _sums_payload(poly.degree, sums, []), _sums_text
 
 
@@ -153,9 +217,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 def _cmd_series(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
-    sums = log_derivative_power_sums(poly, args.k)
-    # Both modes print every value: convert each once, for both fields.
-    strings = [str(v) for v in sums]
+    # Each value sits one power of s ahead of its index. Both modes print
+    # every value: convert each once, for both fields.
+    strings = _texts(*scaled_log_derivative(poly, args.k), start=1)
     payload = _sums_payload(poly.degree, strings, [], series=descending_text(-1, strings))
     return payload, itemgetter("series")
 
@@ -165,13 +229,13 @@ def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     roots = parse_rational_list(args.roots)
     _require(len(roots) <= MAX_EXPONENT, f"from-roots takes at most {MAX_EXPONENT} roots")
     poly = poly_from_roots(roots)
-    direct = power_sums_direct(roots, args.k)
-    recurrence = power_sums_from_coeffs(to_signed(poly), args.k)
-    series = log_derivative_power_sums(poly, args.k)
-    if not (direct == recurrence == series):
+    direct = scaled_direct_sums(roots, args.k)
+    recurrence = scaled_power_sums(to_signed(poly), args.k)
+    series = scaled_log_derivative(poly, args.k)
+    if not (_same_sums(direct, recurrence) and _same_sums(direct, series, shift=1)):
         raise InternalError("the three power-sum routes disagree")
     checks = [_check("three-route agreement", None)]
-    payload = _sums_payload(poly.degree, direct, checks, polynomial=str(poly))
+    payload = _sums_payload(poly.degree, _texts(*direct), checks, polynomial=str(poly))
     return payload, lambda p: p["polynomial"] + "\n" + _sums_text(p)
 
 
@@ -280,7 +344,7 @@ def _cmd_truncate(args: argparse.Namespace) -> _Result:
 def _cmd_negpowers(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
-    sums = negative_power_sums(to_signed(poly), args.k)
+    sums = _texts(*scaled_negative_power_sums(to_signed(poly), args.k))
     return _sums_payload(poly.degree, sums, []), partial(_sums_text, symbol="q")
 
 

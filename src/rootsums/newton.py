@@ -17,12 +17,15 @@ signed coefficients (a_i is the i-th elementary symmetric function):
   (the full window of n previous sums, no bare term).
 
 At k = n the two coincide because p_0 = n turns a_n*p_0 into n*a_n;
-``power_sums_from_coeffs`` evaluates both there and raises
+``scaled_power_sums`` evaluates both there and raises
 :class:`InternalError` if they differ rather than trusting it.
 
 Both directions run on plain ``int``, scaled by an s from :func:`_scale`
 (den(v_i) divides s^i, v_i = a_i or p_i); the checks in
-:mod:`rootsums.roots` never use s. See README's "Denominator scaling".
+:mod:`rootsums.roots` never use s. The recurrence's kernels return the
+scaled integers and s, which the CLI prints without reducing; the
+public functions reduce them to ``Fraction``. See README's
+"Denominator scaling".
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ def _alternating_scaled(values: Sequence[Fraction], scale: int, symbol: str) -> 
     return out
 
 
-def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
-    """p_0..p_k_max of the roots of the polynomial with these coefficients.
+def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int], int]:
+    """P_0..P_k_max and s, with p_k = P_k / s**k the power sums of these roots.
 
     Picks the short regime for k <= n and the full-window regime for
     k > n. Degree 0 (no roots) gives all zeros.
@@ -96,6 +99,11 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fract
         else:
             value = _window(weights, sums, k, n)
         sums.append(value)
+    return sums, scale
+
+
+def _reduced(sums: list[int], scale: int) -> list[Fraction]:
+    """P_k / s**k for every k, each a reduced Fraction."""
     if scale == 1:
         return [Fraction(v) for v in sums]
     out = []
@@ -104,6 +112,14 @@ def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fract
         out.append(Fraction(v, power))
         power *= scale
     return out
+
+
+def power_sums_from_coeffs(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
+    """p_0..p_k_max of the roots of the polynomial with these coefficients.
+
+    The values of :func:`scaled_power_sums`, reduced.
+    """
+    return _reduced(*scaled_power_sums(signed, k_max))
 
 
 def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> SignedCoefficients:
@@ -151,8 +167,8 @@ def coeffs_from_power_sums(power_sums: Sequence[Fraction], degree: int) -> Signe
     return SignedCoefficients(degree, values)
 
 
-def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
-    """q_0..q_k_max with q_k the sum of the (-k)-th powers of the roots.
+def scaled_negative_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int], int]:
+    """Q_0..Q_k_max and s, with q_k = Q_k / s**k the sum of the (-k)-th powers of the roots.
 
     Realized as the ordinary power sums of the reciprocal roots, read
     off the signed view: with e_0 = 1, the reciprocals' k-th elementary
@@ -165,4 +181,12 @@ def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction
     if last == 0:
         raise ValueError("constant term is zero: a zero root has no reciprocal")
     flipped = SignedCoefficients(signed.degree, [e / last for e in reversed(rest)])
-    return power_sums_from_coeffs(flipped, k_max)
+    return scaled_power_sums(flipped, k_max)
+
+
+def negative_power_sums(signed: SignedCoefficients, k_max: int) -> list[Fraction]:
+    """q_0..q_k_max with q_k the sum of the (-k)-th powers of the roots.
+
+    The values of :func:`scaled_negative_power_sums`, reduced.
+    """
+    return _reduced(*scaled_negative_power_sums(signed, k_max))

@@ -38,12 +38,14 @@ from .polynomial import (
 from .newton import power_sums_from_coeffs
 
 
-def _integer_sums(roots: list[Fraction], k_max: int) -> tuple[list[int], int]:
+def scaled_direct_sums(roots: list[Fraction], k_max: int) -> tuple[list[int], int]:
     """S_0..S_k_max with S_k = sum of a_i**k, and B, for exact roots a_i/B.
 
     B is the lcm of the root denominators, so every a_i is an integer
     and p_k = S_k / B**k.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     numerators, scale = clear_denominators(roots)
     sums = [len(numerators)]
     powers = [1] * len(numerators)
@@ -56,11 +58,10 @@ def _integer_sums(roots: list[Fraction], k_max: int) -> tuple[list[int], int]:
 def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     """p_k = sum of root**k over the multiset, for k = 0..k_max.
 
-    p_0 is the number of roots; the empty multiset gives all zeros.
+    p_0 is the number of roots; the empty multiset gives all zeros. The
+    values of :func:`scaled_direct_sums`, reduced.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    sums, scale = _integer_sums(exact(roots), k_max)
+    sums, scale = scaled_direct_sums(exact(roots), k_max)
     return [Fraction(s, scale**k) for k, s in enumerate(sums)]
 
 
@@ -127,7 +128,7 @@ def verify_by_substitution(p: Polynomial, roots: RootMultiset, k_max: int) -> Su
     # Identity k, the sum over the roots r = a_j/B of r**(k-n)*p(r), times
     # B**k and M: C_0*S_k + C_1*B*S_(k-1) + ... + C_n*B**n*S_(k-n), with
     # C_i = descending[i]. Every term is an int; C_0 is M times the lead.
-    sums, scale = _integer_sums(roots, k_max)
+    sums, scale = scaled_direct_sums(roots, k_max)
     weights = [c * scale**i for i, c in enumerate(descending)]
     window_residuals = []
     for k in range(n, k_max + 1):

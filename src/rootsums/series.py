@@ -16,8 +16,10 @@ in descending powers and truncated multiplication by a polynomial. There
 is no general series ring.
 
 The division runs in plain ``int`` after x -> x/s, with an s of its own
-(:func:`_scale`); the multiply-back check is scaled by its inputs'
-denominators, never by s. See README's "Denominator scaling".
+(:func:`_scale`), and its kernels return those integers and s; the
+public functions reduce them to ``Fraction``. The multiply-back check is
+scaled by its inputs' denominators, never by s. See README's
+"Denominator scaling".
 """
 
 from __future__ import annotations
@@ -114,16 +116,17 @@ def _scale(den: Sequence[Fraction], num: Sequence[Fraction]) -> int:
     return s
 
 
-def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int) -> DescendingSeries:
-    """Expand numerator/denominator as c_1/x + c_2/x^2 + ... + c_order/x^order.
+def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) -> tuple[list[int], int]:
+    """C_1..C_order and s, with c_j = C_j / s**j the terms of numerator/denominator.
 
-    The result is the unique series with numerator/denominator minus the
-    series vanishing to order x^(-order-1). Computed by long division
-    that keeps only a remainder of n = deg(denominator) coefficients:
-    each step multiplies the remainder by x, takes its x^n coefficient
-    as the next c_j, and subtracts c_j times the monic denominator, so
-    the terms come out in order. Requires deg(numerator) <
-    deg(denominator) so the expansion starts at 1/x or lower.
+    The series is c_1/x + c_2/x^2 + ... + c_order/x^order: the unique
+    one with numerator/denominator minus the series vanishing to order
+    x^(-order-1). Computed by long division that keeps only a remainder
+    of n = deg(denominator) coefficients: each step multiplies the
+    remainder by x, takes its x^n coefficient as the next c_j, and
+    subtracts c_j times the monic denominator, so the terms come out in
+    order. Requires deg(numerator) < deg(denominator) so the expansion
+    starts at 1/x or lower.
 
     The division runs on plain ``int``. Both polynomials are first
     divided by the denominator's leading coefficient. With n =
@@ -172,29 +175,50 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
         quotient.append(top)
         if top:
             rem = list(map(sub, rem, map(top.__mul__, low)))
+    return quotient, scale
+
+
+def _reduced(quotient: list[int], scale: int) -> list[Fraction]:
+    """C_j / s**j for j = 1, 2, ..., each a reduced Fraction."""
     if scale == 1:
-        return DescendingSeries(-1, quotient)
+        return [Fraction(c) for c in quotient]
     terms = []
     power = 1
     for c in quotient:
         power *= scale
         terms.append(Fraction(c, power))
-    return DescendingSeries(-1, terms)
+    return terms
 
 
-def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
-    """p_0..p_k_max read off the descending expansion of p'(x)/p(x).
+def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int) -> DescendingSeries:
+    """Expand numerator/denominator as c_1/x + c_2/x^2 + ... + c_order/x^order.
 
-    The 1/x coefficient is the degree and the 1/x^(k+1) coefficient is
-    the k-th power sum. Scaling p by a nonzero constant cancels in
-    p'/p, so non-monic input needs no normalization.
+    The terms of :func:`scaled_quotient`, reduced.
+    """
+    return DescendingSeries(-1, _reduced(*scaled_quotient(numerator, denominator, order)))
+
+
+def scaled_log_derivative(p: Polynomial, k_max: int) -> tuple[list[int], int]:
+    """C_1..C_(k_max+1) and s, with p_k = C_(k+1) / s**(k+1), from p'(x)/p(x).
+
+    The 1/x coefficient of the descending expansion is the degree and
+    the 1/x^(k+1) coefficient is the k-th power sum, so each value sits
+    one power of s ahead of its index. Scaling p by a nonzero constant
+    cancels in p'/p, so non-monic input needs no normalization.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("log-derivative expansion needs degree at least 1")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    series = divide_descending(p.derivative(), p, k_max + 1)
-    return list(series.terms)
+    return scaled_quotient(p.derivative(), p, k_max + 1)
+
+
+def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
+    """p_0..p_k_max read off the descending expansion of p'(x)/p(x).
+
+    The values of :func:`scaled_log_derivative`, reduced.
+    """
+    return _reduced(*scaled_log_derivative(p, k_max))
 
 
 def _product(terms: list[int], coeffs: list[int]) -> list[int]:

@@ -28,6 +28,11 @@ def disagreeing(p, k):
     return [p.degree + 1] * (k + 1)
 
 
+def disagreeing_scaled(p, k):
+    """The same stand-in for the series kernel: scaled integers and their scale."""
+    return [p.degree + 1] * (k + 1), 1
+
+
 def test_powersums_table(capsys):
     code, out, _ = run(capsys, "powersums", "x^2 - 3x + 2", "--k", "3")
     assert code == 0
@@ -215,7 +220,7 @@ def test_from_roots_disagreement_wiring_exits_three(capsys, monkeypatch):
     # The routes cannot actually disagree; fake one to prove the exit path.
     import rootsums.cli as cli
 
-    monkeypatch.setattr(cli, "log_derivative_power_sums", disagreeing)
+    monkeypatch.setattr(cli, "scaled_log_derivative", disagreeing_scaled)
     code, out, err = run(capsys, "from-roots", "1,2", "--k", "2")
     assert code == 3
     assert out == ""
@@ -247,8 +252,10 @@ def test_series_json_payload(capsys):
     assert payload["series"] == "2/x + 3/x^2 + 5/x^3 + 9/x^4"
 
 
-# Fraction.__str__ calls per request. A text renderer converts only the
-# values it prints, and `series` converts each value once for both fields.
+# Values converted to text per request: Fraction.__str__ calls, plus the
+# CLI's formatter calls for the commands that print from scaled integers. A
+# text renderer converts only the values it prints, and `series` converts
+# each value once for both fields.
 @pytest.mark.parametrize(
     "argv, text_calls, json_calls",
     [
@@ -267,9 +274,12 @@ def test_values_are_converted_only_where_printed(
 ):
     from fractions import Fraction
 
+    import rootsums.cli as cli
+
     calls = []
-    to_text = Fraction.__str__
+    to_text, ratio = Fraction.__str__, cli._ratio
     monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or to_text(v))
+    monkeypatch.setattr(cli, "_ratio", lambda *args: calls.append(args) or ratio(*args))
     # Python 3.13 formats a Fraction in an f-string without __str__; send
     # it through __str__, as 3.10-3.12 do, so each version counts alike.
     monkeypatch.setattr(Fraction, "__format__", lambda v, spec: format(str(v), spec))
@@ -489,12 +499,12 @@ LIMIT_EXITS = {
     "usage": (("powersums", "x^2", "--k"), None, 1),
     "parse-error": (("powersums", "x^2 -", "--k", "1"), None, 1),
     "negative-k": (("powersums", "x^2", "--k", "-1"), None, 1),
-    "memory": (("powersums", "x - 2", "--k", "3"), ("power_sums_from_coeffs", exhausted), 1),
+    "memory": (("powersums", "x - 2", "--k", "3"), ("scaled_power_sums", exhausted), 1),
     "domain": (("series", "5", "--k", "1"), None, 2),
     "failed-check": (("verify", "x^2 - 3x + 2", "--roots", "1,3", "--k", "4"), None, 2),
     "disagreement": (
         ("from-roots", "1,2", "--k", "2"),
-        ("log_derivative_power_sums", disagreeing),
+        ("scaled_log_derivative", disagreeing_scaled),
         3,
     ),
 }
@@ -576,6 +586,10 @@ def test_k_over_the_cap_exits_one_before_any_route(capsys, monkeypatch, argv):
         "cross_multiplied_check",
         "power_sums_direct",
         "negative_power_sums",
+        "scaled_power_sums",
+        "scaled_log_derivative",
+        "scaled_direct_sums",
+        "scaled_negative_power_sums",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
     code, out, err = run(capsys, *argv, "--k", str(cli.MAX_K + 1))
@@ -616,6 +630,9 @@ def test_size_over_the_cap_exits_one_before_any_route(
         "power_sums_direct",
         "power_sums_from_coeffs",
         "log_derivative_power_sums",
+        "scaled_direct_sums",
+        "scaled_power_sums",
+        "scaled_log_derivative",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
     code, out, err = run(capsys, *over)
@@ -634,7 +651,7 @@ def test_bench_degree_over_the_cap_exits_one(capsys):
 def test_out_of_memory_exits_one(capsys, monkeypatch):
     import rootsums.cli as cli
 
-    monkeypatch.setattr(cli, "power_sums_from_coeffs", exhausted)
+    monkeypatch.setattr(cli, "scaled_power_sums", exhausted)
     code, out, err = run(capsys, "powersums", "x - 2", "--k", "3")
     assert (code, out) == (1, "")
     assert err == "error: not enough memory for this request\n"

@@ -23,6 +23,8 @@ import ast
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "rootsums"
 
 ROUTES = (
@@ -31,6 +33,16 @@ ROUTES = (
     "roots.power_sums_direct",
 )
 SHARED = {"polynomial.exact", "polynomial.InternalError"}
+# Each public route function and the int kernel that holds its one loop.
+# The CLI prints from the kernels; the public functions reduce what they return.
+KERNELS = {
+    "newton.power_sums_from_coeffs": "newton.scaled_power_sums",
+    "newton.negative_power_sums": "newton.scaled_negative_power_sums",
+    "series.divide_descending": "series.scaled_quotient",
+    "series.log_derivative_power_sums": "series.scaled_log_derivative",
+    "roots.power_sums_direct": "roots.scaled_direct_sums",
+}
+ROUTE_KERNELS = tuple(KERNELS[route] for route in ROUTES)
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -136,10 +148,10 @@ def test_each_route_reaches_its_own_kernel():
     assert {"newton._scale", "newton._alternating_scaled", "newton._window"} <= reach(
         graph, "newton.power_sums_from_coeffs"
     )
-    assert {"series._scale", "series.divide_descending", "polynomial.Polynomial.derivative"} <= reach(
+    assert {"series._scale", "series.scaled_quotient", "polynomial.Polynomial.derivative"} <= reach(
         graph, "series.log_derivative_power_sums"
     )
-    assert {"roots._integer_sums", "polynomial.clear_denominators"} <= reach(
+    assert {"roots.scaled_direct_sums", "polynomial.clear_denominators"} <= reach(
         graph, "roots.power_sums_direct"
     )
 
@@ -157,10 +169,48 @@ def test_routes_share_only_exact_and_internal_error():
 def test_cross_check_reaches_the_division_only_through_its_default_series():
     graph = call_graph()
     check, default = "series.cross_multiplied_check", "series.log_derivative_power_sums"
-    assert "series.divide_descending" in reach(graph, check)
-    assert "series.divide_descending" not in reach(graph, check, without=(check, default))
+    assert "series.scaled_quotient" in reach(graph, check)
+    assert "series.scaled_quotient" not in reach(graph, check, without=(check, default))
 
 
 def test_root_substitution_never_reaches_the_recurrence_window():
     graph = call_graph()
     assert "newton._window" not in reach(graph, "roots.verify_by_substitution")
+
+
+def test_each_public_route_function_reaches_its_int_kernel():
+    graph = call_graph()
+    for public, kernel in KERNELS.items():
+        assert kernel in reach(graph, public), public
+    # The reciprocal flip and the log-derivative run the same loops.
+    assert "newton.scaled_power_sums" in reach(graph, "newton.scaled_negative_power_sums")
+    assert "series.scaled_quotient" in reach(graph, "series.scaled_log_derivative")
+    # A route reaches everything its kernel reaches, so the three kernels
+    # share no more than their routes do: SHARED, as asserted above.
+
+
+@pytest.mark.parametrize(
+    "command, kernels",
+    [
+        ("cli._cmd_powersums", {"newton.scaled_power_sums"}),
+        ("cli._cmd_negpowers", {"newton.scaled_negative_power_sums"}),
+        ("cli._cmd_series", {"series.scaled_log_derivative"}),
+        ("cli._cmd_from_roots", set(ROUTE_KERNELS)),
+    ],
+)
+def test_printing_commands_reach_the_routes_only_through_their_kernels(command, kernels):
+    # With every kernel's edges cut, the functions of a route module that a
+    # command still reaches are its kernels and, for series, the text layout.
+    # (Methods are left out: ParseError's super().__init__ reaches every
+    # __init__ in src, as the graph cannot tell them apart.)
+    graph = call_graph()
+    cut = {node: set() if node in KERNELS.values() else edges for node, edges in graph.items()}
+    route_functions = {
+        f"{module}.{stmt.name}"
+        for module, tree in _modules().items()
+        if module in ("newton", "series", "roots")
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    layout = {"series.descending_text"} if command == "cli._cmd_series" else set()
+    assert reach(cut, command) & route_functions == kernels | layout
