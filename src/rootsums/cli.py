@@ -11,9 +11,15 @@ value in both modes. They take each route's scaled integers P_k and its
 scale s from the route's kernel, write each value's "num/den" straight
 from (P_k, s^k), and build no ``Fraction``; ``from-roots`` compares its
 three routes on those integers before writing any. Their payloads hold
-the strings. The other commands hold their values as exact
-``Fraction``s, which the encoder and the text renderers convert only
-where they print them.
+the strings. ``bench`` times the two coefficient-only kernels and
+compares their integers too.
+
+Only ``verify`` and ``coeffs`` hold their power sums as exact
+``Fraction``s, which the encoder converts only where it prints them:
+``verify``'s text mode prints none of its power sums, so it converts
+none. ``verify`` is also the one command that reads the routes through
+their reducing public functions rather than their kernels; the comment
+at the route imports says why.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -37,12 +43,20 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .polynomial import InternalError, Polynomial, from_signed, poly_from_roots, to_signed
-# negative_power_sums and power_sums_direct are not called here, but stay
-# importable: perfbench/spans.py wraps each route's public name in this module.
+from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
+# The route imports, by why cli needs them:
+# - the int kernels, through which every command but verify reads its
+#   routes, and the other route functions the commands call;
+# - power_sums_from_coeffs and log_derivative_power_sums, the reducing
+#   wrappers, which only verify calls, for two reasons: its cross-multiplied
+#   check reads the series as reduced Fractions and clears their
+#   denominators, never a kernel's s, as every oracle scales from its own
+#   inputs; and perfbench's tracer wraps the routes' public names, not the
+#   kernels, so verify's recurrence is where it reads newton.max_bits;
+# - negative_power_sums and power_sums_direct, which nothing here calls:
+#   perfbench/spans.py wraps them in this module, so they stay importable.
 from .newton import (
     coeffs_from_power_sums,
-    negative_power_sums,
-    power_sums_from_coeffs,
     scaled_negative_power_sums,
     scaled_power_sums,
 )
@@ -50,17 +64,18 @@ from .series import (
     DescendingSeries,
     cross_multiplied_check,
     descending_text,
-    log_derivative_power_sums,
     scaled_log_derivative,
 )
 from .roots import (
-    power_sums_direct,
     require_root_count,
     scaled_direct_sums,
     truncation_report,
     verify_by_substitution,
 )
-from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
+from .newton import power_sums_from_coeffs
+from .series import log_derivative_power_sums
+from .newton import negative_power_sums
+from .roots import power_sums_direct
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,10 +105,10 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 """
 
 
-# What a command returns: its payload (the --json object, every rational an
-# exact Fraction that the encoder writes as a "num/den" string, or that
-# string already, where a command prints from scaled integers) and the
-# function that renders it as text.
+# What a command returns: its payload (the --json object, every rational a
+# "num/den" string written from scaled integers or, in verify and coeffs, an
+# exact Fraction that the encoder writes as that string) and the function
+# that renders it as text.
 _Result = tuple[dict, Callable[[dict], str]]
 
 
@@ -125,8 +140,9 @@ def _check(name: str, residual: str | None) -> dict:
 
 
 def _sums_payload(
-    degree: int, sums: Sequence[Fraction | str], checks: list[dict], **extra: str
+    degree: int, sums: Sequence[str] | Sequence[Fraction], checks: list[dict], **extra: str
 ) -> dict:
+    """A power-sum payload: the strings of ``_texts``, or verify's and coeffs' Fractions."""
     return {
         "degree": degree,
         "power_sums": sums,
@@ -190,7 +206,7 @@ def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> lis
 
 
 def _sums_text(payload: dict, symbol: str = "p") -> str:
-    rows = [(f"{symbol}{k}", str(v)) for k, v in enumerate(payload["power_sums"])]
+    rows = [(f"{symbol}{k}", v) for k, v in enumerate(payload["power_sums"])]
     return "\n".join(_table(rows, " = "))
 
 
@@ -371,18 +387,19 @@ def _cmd_bench(args: argparse.Namespace) -> _Result:
     signed = to_signed(poly)
 
     start = time.perf_counter()
-    recurrence = power_sums_from_coeffs(signed, args.k)
+    recurrence = scaled_power_sums(signed, args.k)
     mid = time.perf_counter()
-    series = log_derivative_power_sums(poly, args.k)
+    series = scaled_log_derivative(poly, args.k)
     end = time.perf_counter()
 
-    if recurrence != series:
+    if not _same_sums(recurrence, series, shift=1):
         raise InternalError("recurrence and series routes disagree")
     payload = {
         "degree": args.degree,
         "k": args.k,
         "seed": args.seed,
-        "max_numerator_bits": max(abs(v.numerator).bit_length() for v in recurrence),
+        # A monic integer polynomial: both scales are 1, so P_k is p_k itself.
+        "max_numerator_bits": max(abs(v).bit_length() for v in recurrence[0]),
         "recurrence_seconds": mid - start,
         "series_seconds": end - mid,
         "checks": [_check("route agreement", None)],

@@ -24,6 +24,7 @@ README's "Denominator scaling".
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 
 from .polynomial import (
@@ -62,7 +63,8 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     values of :func:`scaled_direct_sums`, reduced.
     """
     sums, scale = scaled_direct_sums(exact(roots), k_max)
-    return [Fraction(s, scale**k) for k, s in enumerate(sums)]
+    powers = accumulate(repeat(scale, k_max), mul, initial=1)
+    return [Fraction(s, power) for s, power in zip(sums, powers)]
 
 
 class SubstitutionReport(Record):

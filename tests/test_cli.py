@@ -23,13 +23,8 @@ def exhausted(*args):
     raise MemoryError
 
 
-def disagreeing(p, k):
-    """A stand-in series route whose sums no other route gives."""
-    return [p.degree + 1] * (k + 1)
-
-
 def disagreeing_scaled(p, k):
-    """The same stand-in for the series kernel: scaled integers and their scale."""
+    """A stand-in series kernel whose sums no other route gives, at scale 1."""
     return [p.degree + 1] * (k + 1), 1
 
 
@@ -230,7 +225,7 @@ def test_from_roots_disagreement_wiring_exits_three(capsys, monkeypatch):
 def test_bench_disagreement_wiring_exits_three(capsys, monkeypatch):
     import rootsums.cli as cli
 
-    monkeypatch.setattr(cli, "log_derivative_power_sums", disagreeing)
+    monkeypatch.setattr(cli, "scaled_log_derivative", disagreeing_scaled)
     code, out, err = run(capsys, "bench", "--degree", "2", "--k", "2")
     assert code == 3
     assert out == ""

@@ -196,6 +196,7 @@ def test_each_public_route_function_reaches_its_int_kernel():
         ("cli._cmd_negpowers", {"newton.scaled_negative_power_sums"}),
         ("cli._cmd_series", {"series.scaled_log_derivative"}),
         ("cli._cmd_from_roots", set(ROUTE_KERNELS)),
+        ("cli._cmd_bench", {"newton.scaled_power_sums", "series.scaled_log_derivative"}),
     ],
 )
 def test_printing_commands_reach_the_routes_only_through_their_kernels(command, kernels):
@@ -214,3 +215,16 @@ def test_printing_commands_reach_the_routes_only_through_their_kernels(command, 
     }
     layout = {"series.descending_text"} if command == "cli._cmd_series" else set()
     assert reach(cut, command) & route_functions == kernels | layout
+
+
+def test_only_verify_reaches_the_reducing_route_functions():
+    # verify keeps the two wrappers (see the import comment in cli); every
+    # other command reads the kernels, or no route at all.
+    graph = call_graph()
+    wrappers = {"newton.power_sums_from_coeffs", "series.log_derivative_power_sums"}
+    commands = [
+        f"cli.{stmt.name}"
+        for stmt in _modules()["cli"].body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_cmd_")
+    ]
+    assert [c for c in commands if reach(graph, c) & wrappers] == ["cli._cmd_verify"]
