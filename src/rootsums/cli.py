@@ -18,8 +18,8 @@ Only ``verify`` and ``coeffs`` hold their power sums as exact
 ``Fraction``s, which the encoder converts only where it prints them:
 ``verify``'s text mode prints none of its power sums, so it converts
 none. ``verify`` is also the one command that reads the routes through
-their reducing public functions rather than their kernels; the comment
-at the route imports says why.
+their reducing public functions rather than their kernels; ROADMAP's
+"Settled" says why.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -43,20 +43,13 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .polynomial import InternalError, Polynomial, from_signed, poly_from_roots, to_signed
-from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
-# The route imports, by why cli needs them:
-# - the int kernels, through which every command but verify reads its
-#   routes, and the other route functions the commands call;
-# - power_sums_from_coeffs and log_derivative_power_sums, the reducing
-#   wrappers, which only verify calls, for two reasons: its cross-multiplied
-#   check reads the series as reduced Fractions and clears their
-#   denominators, never a kernel's s, as every oracle scales from its own
-#   inputs; and perfbench's tracer wraps the routes' public names, not the
-#   kernels, so verify's recurrence is where it reads newton.max_bits;
-# - negative_power_sums and power_sums_direct, which nothing here calls:
-#   perfbench/spans.py wraps them in this module, so they stay importable.
+# verify alone calls power_sums_from_coeffs and log_derivative_power_sums;
+# negative_power_sums and power_sums_direct are imported only for perfbench's
+# tracer. See ROADMAP "Settled: verify reads the reducing route functions".
 from .newton import (
     coeffs_from_power_sums,
+    negative_power_sums,
+    power_sums_from_coeffs,
     scaled_negative_power_sums,
     scaled_power_sums,
 )
@@ -64,18 +57,17 @@ from .series import (
     DescendingSeries,
     cross_multiplied_check,
     descending_text,
+    log_derivative_power_sums,
     scaled_log_derivative,
 )
 from .roots import (
+    power_sums_direct,
     require_root_count,
     scaled_direct_sums,
     truncation_report,
     verify_by_substitution,
 )
-from .newton import power_sums_from_coeffs
-from .series import log_derivative_power_sums
-from .newton import negative_power_sums
-from .roots import power_sums_direct
+from .parser import MAX_EXPONENT, ParseError, parse_polynomial, parse_rational_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -394,11 +386,12 @@ def _cmd_bench(args: argparse.Namespace) -> _Result:
 
     if not _same_sums(recurrence, series, shift=1):
         raise InternalError("recurrence and series routes disagree")
+    # A monic integer polynomial: its scale is 1, so P_k is p_k itself.
+    assert recurrence[1] == 1
     payload = {
         "degree": args.degree,
         "k": args.k,
         "seed": args.seed,
-        # A monic integer polynomial: both scales are 1, so P_k is p_k itself.
         "max_numerator_bits": max(abs(v).bit_length() for v in recurrence[0]),
         "recurrence_seconds": mid - start,
         "series_seconds": end - mid,

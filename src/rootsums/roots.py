@@ -24,7 +24,6 @@ README's "Denominator scaling".
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 from operator import mul
 
 from .polynomial import (
@@ -63,8 +62,7 @@ def power_sums_direct(roots: RootMultiset, k_max: int) -> list[Fraction]:
     values of :func:`scaled_direct_sums`, reduced.
     """
     sums, scale = scaled_direct_sums(exact(roots), k_max)
-    powers = accumulate(repeat(scale, k_max), mul, initial=1)
-    return [Fraction(s, power) for s, power in zip(sums, powers)]
+    return [Fraction(s, scale**k) for k, s in enumerate(sums)]
 
 
 class SubstitutionReport(Record):
