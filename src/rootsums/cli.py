@@ -98,9 +98,9 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 
 
 # What a command returns: its payload (the --json object, every rational a
-# "num/den" string written from scaled integers or, in verify and coeffs, an
-# exact Fraction that the encoder writes as that string) and the function
-# that renders it as text.
+# "num/den" string that _texts writes from scaled integers or, in verify and
+# coeffs, an exact Fraction that the encoder writes as that string) and the
+# function that renders it as text.
 _Result = tuple[dict, Callable[[dict], str]]
 
 
@@ -125,22 +125,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # One invalid-choice message for every Python, as build_parser pins the
+    # usage text: 3.13.13's argparse writes the choices unquoted.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
 
 def _check(name: str, residual: str | None) -> dict:
     """A check passes exactly when it has no residual to report."""
     return {"name": name, "pass": residual is None, "residual": residual}
-
-
-def _sums_payload(
-    degree: int, sums: Sequence[str] | Sequence[Fraction], checks: list[dict], **extra: str
-) -> dict:
-    """A power-sum payload: the strings of ``_texts``, or verify's and coeffs' Fractions."""
-    return {
-        "degree": degree,
-        "power_sums": sums,
-        "checks": checks,
-        **extra,
-    }
 
 
 def _ratio(numerator: int, scale: int, denominator: int) -> str:
@@ -171,22 +167,23 @@ def _texts(sums: list[int], scale: int, start: int = 0) -> list[str]:
 def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int], shift: int = 0) -> bool:
     """Whether x_k/s**k == y_k/t**(k + shift) for every k, with a = (x, s), b = (y, t).
 
-    Where every power of s equals the matching power of t (equal scales
-    and no shift, or both scales 1), the integers are compared; otherwise
-    each pair is cross-multiplied, x_k*t**(k + shift) == y_k*s**k, which
-    holds exactly when the two reduced values are equal.
+    Cross-multiplied, the k-th equation is x_k*t**(k + shift) == y_k*s**k,
+    which holds exactly when the two reduced values are equal. With
+    g = gcd(s, t), g**k divides both t**k and s**k, so dividing it out
+    leaves the equivalent x_k*t**shift*(t/g)**k == y_k*(s/g)**k. Equal
+    scales give s/g = t/g = 1: the integers are compared after one
+    multiplication by t**shift.
     """
     (x, s), (y, t) = a, b
     if len(x) != len(y):
         return False
-    if s == t and (s == 1 or not shift):
-        return x == y
-    s_power, t_power = 1, t**shift
+    g = math.gcd(s, t)
+    x_factor, y_factor = t**shift, 1
     for u, v in zip(x, y):
-        if u * t_power != v * s_power:
+        if u * x_factor != v * y_factor:
             return False
-        s_power *= s
-        t_power *= t
+        x_factor *= t // g
+        y_factor *= s // g
     return True
 
 
@@ -206,7 +203,7 @@ def _cmd_powersums(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = _texts(*scaled_power_sums(to_signed(poly), args.k))
-    return _sums_payload(poly.degree, sums, []), _sums_text
+    return {"degree": poly.degree, "power_sums": sums, "checks": []}, _sums_text
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Result:
@@ -219,7 +216,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
         )
     sums = [Fraction(args.n)] + entries[: args.n]
     poly = from_signed(coeffs_from_power_sums(sums, args.n))
-    return _sums_payload(args.n, sums, [], polynomial=str(poly)), itemgetter("polynomial")
+    payload = {"degree": args.n, "power_sums": sums, "checks": [], "polynomial": str(poly)}
+    return payload, itemgetter("polynomial")
 
 
 def _cmd_series(args: argparse.Namespace) -> _Result:
@@ -228,7 +226,8 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
     # Each value sits one power of s ahead of its index. Both modes print
     # every value: convert each once, for both fields.
     strings = _texts(*scaled_log_derivative(poly, args.k), start=1)
-    payload = _sums_payload(poly.degree, strings, [], series=descending_text(-1, strings))
+    series = descending_text(-1, strings)
+    payload = {"degree": poly.degree, "power_sums": strings, "checks": [], "series": series}
     return payload, itemgetter("series")
 
 
@@ -243,7 +242,8 @@ def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     if not (_same_sums(direct, recurrence) and _same_sums(direct, series, shift=1)):
         raise InternalError("the three power-sum routes disagree")
     checks = [_check("three-route agreement", None)]
-    payload = _sums_payload(poly.degree, _texts(*direct), checks, polynomial=str(poly))
+    sums = _texts(*direct)
+    payload = {"degree": poly.degree, "power_sums": sums, "checks": checks, "polynomial": str(poly)}
     return payload, lambda p: p["polynomial"] + "\n" + _sums_text(p)
 
 
@@ -335,7 +335,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         return "\n".join(lines)
 
     results = [_check(name, next(failures, None)) for name, failures, _ in checks]
-    return _sums_payload(poly.degree, recurrence, results), render
+    return {"degree": poly.degree, "power_sums": recurrence, "checks": results}, render
 
 
 def _cmd_truncate(args: argparse.Namespace) -> _Result:
@@ -353,7 +353,8 @@ def _cmd_negpowers(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
     sums = _texts(*scaled_negative_power_sums(to_signed(poly), args.k))
-    return _sums_payload(poly.degree, sums, []), partial(_sums_text, symbol="q")
+    payload = {"degree": poly.degree, "power_sums": sums, "checks": []}
+    return payload, partial(_sums_text, symbol="q")
 
 
 def _bench_text(payload: dict) -> str:

@@ -7,6 +7,7 @@ both sides; exit 3 is covered by the monkeypatch tests in test_cli.py.
 ``replay_golden.py`` replays the same file through an installed command.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -53,6 +54,21 @@ def test_one_parser_serves_requests_in_turn(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (case["out"], case["err"])
     assert len(built) == 1
+
+
+def test_the_invalid_choice_message_is_the_same_on_every_python(capsys, monkeypatch):
+    # Python 3.13.13's argparse writes the choices with str, not repr.
+    def check_value_3_13_13(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            args = {"value": str(value), "choices": ", ".join(map(str, action.choices))}
+            message = "invalid choice: %(value)r (choose from %(choices)s)" % args
+            raise argparse.ArgumentError(action, message)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", check_value_3_13_13)
+    monkeypatch.setenv("COLUMNS", "80")
+    [case] = [c for c in CASES if c["argv"] == ["frobnicate"]]
+    assert main(["frobnicate"]) == case["code"]
+    assert capsys.readouterr().err == case["err"]
 
 
 def test_readme_shows_the_recorded_json_example():

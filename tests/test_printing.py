@@ -24,6 +24,9 @@ SCALES = (1, 2, 840, 2310, 22680)
 # B is 12, both coefficient kernels' s is 48.
 UNEQUAL_SCALES = "-9/2, 8, -8/3, -1, 7/2, -3/4, -1, -5, 2, 7/4, -6, -3/4, -5/4, 7/4, 9/4, -6"
 
+# B and both kernels' s are 6: equal scales above 1.
+EQUAL_SCALES = "1/2, 1/3, 2"
+
 
 @st.composite
 def scaled_values(draw):
@@ -64,13 +67,25 @@ def test_integer_comparison_is_fraction_equality(pair):
     assert cli._same_sums((x, s), (y, t), shift) == as_fractions
 
 
-def test_routes_with_unequal_scales_compare_equal():
-    roots = [Fraction(r) for r in UNEQUAL_SCALES.split(",")]
+def routes(text, k):
+    """The three kernels' (ints, scale) on the roots written in text."""
+    roots = [Fraction(r) for r in text.split(",")]
     poly = poly_from_roots(roots)
-    direct = scaled_direct_sums(roots, 40)
-    recurrence = scaled_power_sums(to_signed(poly), 40)
-    series = scaled_log_derivative(poly, 40)
+    recurrence = scaled_power_sums(to_signed(poly), k)
+    return scaled_direct_sums(roots, k), recurrence, scaled_log_derivative(poly, k)
+
+
+def test_routes_with_unequal_scales_compare_equal():
+    direct, recurrence, series = routes(UNEQUAL_SCALES, 40)
     assert (direct[1], recurrence[1], series[1]) == (12, 48, 48)
+    assert cli._same_sums(direct, recurrence)
+    assert cli._same_sums(direct, series, shift=1)
+    assert not cli._same_sums(direct, series)
+
+
+def test_routes_with_equal_scales_compare_equal():
+    direct, recurrence, series = routes(EQUAL_SCALES, 40)
+    assert (direct[1], recurrence[1], series[1]) == (6, 6, 6)
     assert cli._same_sums(direct, recurrence)
     assert cli._same_sums(direct, series, shift=1)
     assert not cli._same_sums(direct, series)
@@ -89,7 +104,11 @@ def off_by_one(kernel, index):
 
 @pytest.mark.parametrize("index", [0, -1])
 @pytest.mark.parametrize("kernel", ["scaled_log_derivative", "scaled_power_sums", "scaled_direct_sums"])
-@pytest.mark.parametrize("roots", ["1, 2, -3", UNEQUAL_SCALES], ids=["equal-scales", "unequal-scales"])
+@pytest.mark.parametrize(
+    "roots",
+    ["1, 2, -3", EQUAL_SCALES, UNEQUAL_SCALES],
+    ids=["unit-scales", "equal-scales", "unequal-scales"],
+)
 def test_a_kernel_off_by_one_unit_makes_from_roots_exit_three(
     capsys, monkeypatch, roots, kernel, index
 ):
