@@ -17,9 +17,9 @@ compares their integers too.
 Only ``verify`` and ``coeffs`` hold their power sums as exact
 ``Fraction``s, which the encoder converts only where it prints them:
 ``verify``'s text mode prints none of its power sums, so it converts
-none. ``verify`` is also the one command that reads the routes through
-their reducing public functions rather than their kernels; ROADMAP's
-"Settled" says why.
+none. ``verify`` reads the series from its kernel and runs both series
+checks on those integers. Its recurrence is the one route still read
+through a reducing public function; ROADMAP's "Settled" says why.
 
 Exit codes: 1 usage or parse error, or a request too large to hold in
 memory, 2 mathematical domain error, 3 internal cross-route
@@ -40,12 +40,14 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polynomial import InternalError, Polynomial, from_signed, poly_from_roots, to_signed
-# verify alone calls power_sums_from_coeffs and log_derivative_power_sums;
-# negative_power_sums and power_sums_direct are imported only for perfbench's
-# tracer. See ROADMAP "Settled: verify reads the reducing route functions".
+# verify alone calls power_sums_from_coeffs. perfbench's tracer looks up
+# every name in its BOUNDARY here, so negative_power_sums, power_sums_direct,
+# log_derivative_power_sums and cross_multiplied_check stay imported though
+# no command calls them. See ROADMAP "Settled: verify reads the recurrence
+# through power_sums_from_coeffs".
 from .newton import (
     coeffs_from_power_sums,
     negative_power_sums,
@@ -54,10 +56,10 @@ from .newton import (
     scaled_power_sums,
 )
 from .series import (
-    DescendingSeries,
     cross_multiplied_check,
     descending_text,
     log_derivative_power_sums,
+    scaled_cross_check,
     scaled_log_derivative,
 )
 from .roots import (
@@ -187,6 +189,19 @@ def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int], shift: int = 
     return True
 
 
+def _disagreements(sums: list[Fraction], quotient: list[int], scale: int) -> Iterator[str]:
+    """Failure texts "p{k}: a != b", with a = sums[k] and b = quotient[k]/scale**(k + 1).
+
+    a = c/d equals C/s**(k + 1) exactly when c*s**(k + 1) == C*d, so the
+    test reduces nothing; only a failure writes b, through _ratio.
+    """
+    power = 1
+    for k, (a, c) in enumerate(zip(sums, quotient)):
+        power *= scale
+        if a.numerator * power != c * a.denominator:
+            yield f"p{k}: {a} != {_ratio(c, scale, power)}"
+
+
 def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> list[str]:
     """Two aligned columns: keys to the left, values to the right."""
     key_width = max(len(k) for k, _ in rows)
@@ -272,21 +287,11 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
     signed = to_signed(poly)
     recurrence = power_sums_from_coeffs(signed, args.k)
-    series_sums = log_derivative_power_sums(poly, args.k)
-    cross = cross_multiplied_check(
-        poly, args.k, series=DescendingSeries(-1, series_sums)
-    )
+    series = scaled_log_derivative(poly, args.k)
+    cross = scaled_cross_check(poly, *series)
     # Each check: name, failures (the first is its residual), lazy text table.
     checks = [
-        (
-            "recurrence-series agreement",
-            (
-                f"p{k}: {a} != {b}"
-                for k, (a, b) in enumerate(zip(recurrence, series_sums))
-                if a != b
-            ),
-            list,
-        ),
+        ("recurrence-series agreement", _disagreements(recurrence, *series), list),
         (
             "cross-multiplied identity",
             (f"x^{e}: residual {v}" for e, v in cross.residuals if v != 0),

@@ -17,9 +17,10 @@ is no general series ring.
 
 The division runs in plain ``int`` after x -> x/s, with an s of its own
 (:func:`_scale`), and its kernels return those integers and s; the
-public functions reduce them to ``Fraction``. The multiply-back check is
-scaled by its inputs' denominators, never by s. See README's
-"Denominator scaling".
+public functions reduce them to ``Fraction``. The multiply-back check
+reads a series as the (C, s) it was given and clears p by p's own
+denominators; it picks no scale of its own. See README's "Denominator
+scaling".
 """
 
 from __future__ import annotations
@@ -268,6 +269,40 @@ class CrossCheckReport(Record):
         return None
 
 
+def _residuals(
+    p: Polynomial, start_exponent: int, terms: list[int], scale: int, d: int
+) -> CrossCheckReport:
+    """The residuals of (series) * p - p', computed in ``int``.
+
+    The series' coefficient of x**(start_exponent - i) is
+    terms[i] / (d * scale**(i+1)). Row u of the product touches terms
+    0..u only, so it is cleared by M * d * scale**(u+1), with M the lcm
+    of p's denominators and B_j = M times p's coefficient j: the term
+    i = u + j - n then comes with B_j * scale**(n-j), whatever u is.
+    The residual's Fraction is built only when it is nonzero.
+    """
+    coeffs, m = clear_denominators(p.coefficients)
+    n = p.degree
+    weighted = [b * scale ** (n - j) for j, b in enumerate(coeffs)]
+    start = start_exponent + n
+    residuals: list[tuple[int, Fraction]] = []
+    for u, value in enumerate(_product(terms, weighted)):
+        exponent = start - u
+        if 0 <= exponent < n:  # the rows that carry p'
+            value -= (exponent + 1) * coeffs[exponent + 1] * d * scale ** (u + 1)
+        residuals.append((exponent, Fraction(value, m * d * scale ** (u + 1)) if value else _ZERO))
+    return CrossCheckReport(tuple(residuals))
+
+
+def scaled_cross_check(p: Polynomial, quotient: list[int], scale: int) -> CrossCheckReport:
+    """The cross-multiplied check on p'/p as :func:`scaled_log_derivative` returns it.
+
+    ``quotient`` and ``scale`` are C_1, C_2, ... and s, the series
+    C_1/(s x) + C_2/(s x)^2 + ...; nothing is reduced.
+    """
+    return _residuals(p, -1, quotient, scale, 1)
+
+
 def cross_multiplied_check(
     p: Polynomial, k_max: int, *, series: DescendingSeries | None = None
 ) -> CrossCheckReport:
@@ -284,16 +319,7 @@ def cross_multiplied_check(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if series is None:
-        series = DescendingSeries(-1, log_derivative_power_sums(p, k_max))
-    # The identity times D*M, with D and M the lcms of the series' and of
-    # p's denominators: every term is an int and a zero stays exactly zero.
+        return scaled_cross_check(p, *scaled_log_derivative(p, k_max))
+    # A given series is cleared by D, the lcm of its terms' denominators.
     terms, d = clear_denominators(series.terms)
-    coeffs, m = clear_denominators(p.coefficients)
-    start = series.start_exponent + p.degree
-    residuals: list[tuple[int, Fraction]] = []
-    for j, value in enumerate(_product(terms, coeffs)):
-        exponent = start - j
-        if 0 <= exponent < p.degree:
-            value -= (exponent + 1) * coeffs[exponent + 1] * d  # D*M times p'
-        residuals.append((exponent, Fraction(value, d * m) if value else _ZERO))
-    return CrossCheckReport(tuple(residuals))
+    return _residuals(p, series.start_exponent, terms, 1, d)

@@ -386,19 +386,24 @@ def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, argv):
     assert err.startswith("internal error: scale 2 leaves")
 
 
+def _corrupt_p2(monkeypatch):
+    """Make verify's series kernel return p2 + 1: C_3 + s**3 for C_3."""
+    import rootsums.cli as cli
+
+    expand = cli.scaled_log_derivative
+
+    def corrupted(p, k):
+        quotient, scale = expand(p, k)
+        quotient[2] += scale**3
+        return quotient, scale
+
+    monkeypatch.setattr(cli, "scaled_log_derivative", corrupted)
+
+
 def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
     # verify hands its one series to the cross-multiplied check, so a bad
     # term must fail both coefficient-only checks.
-    import rootsums.cli as cli
-
-    expand = cli.log_derivative_power_sums
-
-    def corrupted(p, k):
-        sums = expand(p, k)
-        sums[2] += 1
-        return sums
-
-    monkeypatch.setattr(cli, "log_derivative_power_sums", corrupted)
+    _corrupt_p2(monkeypatch)
     code, payload, _ = run_json(capsys, "verify", "x^2 - 3x + 2", "--k", "6")
     assert code == 2
     by_name = {c["name"]: c["pass"] for c in payload["checks"]}
@@ -429,6 +434,21 @@ def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
         "  1     =\n"
         "  2     =   =\n"
     )
+
+
+def test_verify_catches_a_corrupted_series_at_scale_two(capsys, monkeypatch):
+    # s = 2 and M = 3: p2 = 5/4 becomes C_3/8 = 18/8, written reduced, and
+    # the residual at x^-1 is the leading coefficient 2/3.
+    _corrupt_p2(monkeypatch)
+    failures = (
+        "recurrence-series agreement  FAIL  p2: 5/4 != 9/4\n"
+        "cross-multiplied identity    FAIL  x^-1: residual 2/3\n"
+    )
+    assert run(capsys, "verify", "2/3x^2 - x + 1/3", "--k", "6") == (2, failures, "")
+    code, payload, _ = run_json(capsys, "verify", "2/3x^2 - x + 1/3", "--k", "6")
+    assert code == 2
+    assert payload["power_sums"] == ["2", "3/2", "5/4", "9/8", "17/16", "33/32", "65/64"]
+    assert [c["residual"] for c in payload["checks"]] == ["p2: 5/4 != 9/4", "x^-1: residual 2/3"]
 
 
 def test_verify_json_builds_no_text_tables(capsys, monkeypatch):
@@ -533,6 +553,8 @@ def test_verify_rejects_bad_roots_before_computing(capsys, monkeypatch):
         "power_sums_from_coeffs",
         "log_derivative_power_sums",
         "cross_multiplied_check",
+        "scaled_log_derivative",
+        "scaled_cross_check",
         "verify_by_substitution",
         "truncation_report",
     ):
@@ -585,6 +607,7 @@ def test_k_over_the_cap_exits_one_before_any_route(capsys, monkeypatch, argv):
         "scaled_log_derivative",
         "scaled_direct_sums",
         "scaled_negative_power_sums",
+        "scaled_cross_check",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
     code, out, err = run(capsys, *argv, "--k", str(cli.MAX_K + 1))

@@ -168,9 +168,28 @@ def test_routes_share_only_exact_and_internal_error():
 
 def test_cross_check_reaches_the_division_only_through_its_default_series():
     graph = call_graph()
-    check, default = "series.cross_multiplied_check", "series.log_derivative_power_sums"
+    check, default = "series.cross_multiplied_check", "series.scaled_log_derivative"
     assert "series.scaled_quotient" in reach(graph, check)
     assert "series.scaled_quotient" not in reach(graph, check, without=(check, default))
+
+
+def test_the_integer_cross_check_reaches_no_route():
+    # It reads the series it is handed and p's own coefficients: no
+    # division, no recurrence, and nothing a route shares beyond SHARED.
+    graph = call_graph()
+    reached = reach(graph, "series.scaled_cross_check")
+    assert "series._product" in reached
+    assert not [node for node in reached if node.startswith("newton.")]
+    assert "series.scaled_quotient" not in reached
+    recurrence = reach(graph, "newton.power_sums_from_coeffs")
+    assert reached & recurrence <= SHARED
+
+
+def test_verify_reads_the_series_only_through_its_kernel():
+    graph = call_graph()
+    reached = reach(graph, "cli._cmd_verify")
+    assert {"series.scaled_log_derivative", "series.scaled_cross_check"} <= reached
+    assert not reached & {"series.log_derivative_power_sums", "series.cross_multiplied_check"}
 
 
 def test_root_substitution_never_reaches_the_recurrence_window():

@@ -1,7 +1,8 @@
 """The integer oracles against unscaled Fraction references, where scaling matters.
 
 The checks that judge the kernels run in int, each scaled from its own
-inputs: the multiply-back by D*M (the lcms of the series' and of p's
+inputs: the multiply-back by M*s**(u+1) on the kernel's (C, s), or by
+D*M on a given series (M and D the lcms of p's and of the series'
 denominators), the direct sums by B**k (B the lcm of the root
 denominators), the window residuals by B**k and the lcm of the signed
 coefficients' denominators, and each root residual p(a/b) by b**n and
@@ -29,6 +30,7 @@ from rootsums import (
     to_signed,
     verify_by_substitution,
 )
+from rootsums.series import scaled_cross_check, scaled_log_derivative
 
 F = ExactScalar
 
@@ -136,6 +138,29 @@ def test_cross_multiplied_check_matches_fraction_residuals(instance):
     assert report == reference_cross_multiplied_check(p, corrupted)
     assert cross_multiplied_check(p, k_max) == reference_cross_multiplied_check(p, series)
     assert cross_multiplied_check(p, k_max).ok
+
+
+@st.composite
+def kernel_series(draw):
+    """A non-monic rational p, its kernel's (C, s) with s > 1, and C with one term moved."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    p = Polynomial([*draw(st.lists(big_rationals, min_size=n, max_size=n)), draw(leading)])
+    k_max = draw(st.integers(min_value=0, max_value=3 * n))
+    quotient, scale = scaled_log_derivative(p, k_max)
+    assume(scale > 1)
+    moved = list(quotient)
+    moved[draw(st.integers(min_value=0, max_value=k_max))] += draw(st.sampled_from([1, -1]))
+    return p, scale, quotient, moved
+
+
+@given(kernel_series())
+def test_cross_check_on_the_kernel_integers_matches_fraction_residuals(instance):
+    p, scale, quotient, moved = instance
+    for terms in (quotient, moved):
+        reduced = DescendingSeries(-1, [F(c, scale ** (j + 1)) for j, c in enumerate(terms)])
+        assert scaled_cross_check(p, terms, scale) == reference_cross_multiplied_check(p, reduced)
+    assert scaled_cross_check(p, quotient, scale).ok
+    assert not scaled_cross_check(p, moved, scale).ok
 
 
 @st.composite
