@@ -156,31 +156,30 @@ def _ratio(numerator: int, scale: int, denominator: int) -> str:
     return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
-def _texts(sums: list[int], scale: int, start: int = 0) -> list[str]:
-    """The strings of sums[k]/scale**(k + start), k = 0, 1, ..."""
+def _texts(sums: list[int], scale: int) -> list[str]:
+    """The strings of sums[k]/scale**k, k = 0, 1, ..."""
     out = []
-    power = scale**start
+    power = 1
     for v in sums:
         out.append(_ratio(v, scale, power))
         power *= scale
     return out
 
 
-def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int], shift: int = 0) -> bool:
-    """Whether x_k/s**k == y_k/t**(k + shift) for every k, with a = (x, s), b = (y, t).
+def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int]) -> bool:
+    """Whether x_k/s**k == y_k/t**k for every k, with a = (x, s), b = (y, t).
 
-    Cross-multiplied, the k-th equation is x_k*t**(k + shift) == y_k*s**k,
-    which holds exactly when the two reduced values are equal. With
+    Cross-multiplied, the k-th equation is x_k*t**k == y_k*s**k, which
+    holds exactly when the two reduced values are equal. With
     g = gcd(s, t), g**k divides both t**k and s**k, so dividing it out
-    leaves the equivalent x_k*t**shift*(t/g)**k == y_k*(s/g)**k. Equal
-    scales give s/g = t/g = 1: the integers are compared after one
-    multiplication by t**shift.
+    leaves the equivalent x_k*(t/g)**k == y_k*(s/g)**k. Equal scales
+    give s/g = t/g = 1: the integers are compared as they are.
     """
     (x, s), (y, t) = a, b
     if len(x) != len(y):
         return False
     g = math.gcd(s, t)
-    x_factor, y_factor = t**shift, 1
+    x_factor = y_factor = 1
     for u, v in zip(x, y):
         if u * x_factor != v * y_factor:
             return False
@@ -189,17 +188,17 @@ def _same_sums(a: tuple[list[int], int], b: tuple[list[int], int], shift: int = 
     return True
 
 
-def _disagreements(sums: list[Fraction], quotient: list[int], scale: int) -> Iterator[str]:
-    """Failure texts "p{k}: a != b", with a = sums[k] and b = quotient[k]/scale**(k + 1).
+def _disagreements(sums: list[Fraction], scaled: list[int], scale: int) -> Iterator[str]:
+    """Failure texts "p{k}: a != b", with a = sums[k] and b = scaled[k]/scale**k.
 
-    a = c/d equals C/s**(k + 1) exactly when c*s**(k + 1) == C*d, so the
-    test reduces nothing; only a failure writes b, through _ratio.
+    a = c/d equals P/s**k exactly when c*s**k == P*d, so the test
+    reduces nothing; only a failure writes b, through _ratio.
     """
     power = 1
-    for k, (a, c) in enumerate(zip(sums, quotient)):
+    for k, (a, v) in enumerate(zip(sums, scaled)):
+        if a.numerator * power != v * a.denominator:
+            yield f"p{k}: {a} != {_ratio(v, scale, power)}"
         power *= scale
-        if a.numerator * power != c * a.denominator:
-            yield f"p{k}: {a} != {_ratio(c, scale, power)}"
 
 
 def _table(rows: list[tuple[str, str]], separator: str, indent: str = "") -> list[str]:
@@ -238,9 +237,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 def _cmd_series(args: argparse.Namespace) -> _Result:
     _require_k(args)
     poly = parse_polynomial(args.poly)
-    # Each value sits one power of s ahead of its index. Both modes print
-    # every value: convert each once, for both fields.
-    strings = _texts(*scaled_log_derivative(poly, args.k), start=1)
+    # p_k is the coefficient of x^(-k-1) in p'/p. Both modes print every
+    # value: convert each once, for both fields.
+    strings = _texts(*scaled_log_derivative(poly, args.k))
     series = descending_text(-1, strings)
     payload = {"degree": poly.degree, "power_sums": strings, "checks": [], "series": series}
     return payload, itemgetter("series")
@@ -254,7 +253,7 @@ def _cmd_from_roots(args: argparse.Namespace) -> _Result:
     direct = scaled_direct_sums(roots, args.k)
     recurrence = scaled_power_sums(to_signed(poly), args.k)
     series = scaled_log_derivative(poly, args.k)
-    if not (_same_sums(direct, recurrence) and _same_sums(direct, series, shift=1)):
+    if not (_same_sums(direct, recurrence) and _same_sums(direct, series)):
         raise InternalError("the three power-sum routes disagree")
     checks = [_check("three-route agreement", None)]
     sums = _texts(*direct)
@@ -390,7 +389,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Result:
     series = scaled_log_derivative(poly, args.k)
     end = time.perf_counter()
 
-    if not _same_sums(recurrence, series, shift=1):
+    if not _same_sums(recurrence, series):
         raise InternalError("recurrence and series routes disagree")
     # A monic integer polynomial: its scale is 1, so P_k is p_k itself.
     assert recurrence[1] == 1

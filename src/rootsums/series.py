@@ -1,15 +1,18 @@
 """Formal series in descending powers of x, and the log-derivative route.
 
-Expanding p'(x)/p(x) as a series 1/x-first gives
+Expanding x*p'(x)/p(x) as a series in 1/x gives
 
-    p'/p = n/x + p_1/x^2 + p_2/x^3 + ...
+    x p'/p = n + p_1/x + p_2/x^2 + ...
 
 with n the degree and p_k the k-th power sum of the roots: each root r
-contributes the geometric series 1/(x-r) = 1/x + r/x^2 + r^2/x^3 + ...,
-and the expansion collects all of them at once. The division algorithm
-below computes that collected series straight from the coefficients, so
-no roots are ever needed. This route is fully independent of the
-recurrences in :mod:`rootsums.newton` and serves as their cross-check.
+contributes x/(x-r) = 1 + r/x + r^2/x^2 + ..., and the expansion
+collects all of them at once. The kernel divides x*p' - n*p by p, which
+leaves p_1/x + p_2/x^2 + ..., and sets p_0 = n, as the recurrence does.
+The division algorithm below computes that series straight from the
+coefficients, so no roots are ever needed. This route is fully
+independent of the recurrences in :mod:`rootsums.newton` and serves as
+their cross-check. The same values, one power of x down, are the
+series of p'/p that the ``series`` command prints.
 
 Series support here is only what the expansion needs: truncated division
 in descending powers and truncated multiplication by a polynomial. There
@@ -18,7 +21,7 @@ is no general series ring.
 The division runs in plain ``int`` after x -> x/s, with an s of its own
 (:func:`_scale`), and its kernels return those integers and s; the
 public functions reduce them to ``Fraction``. The multiply-back check
-reads a series as the (C, s) it was given and clears p by p's own
+reads a series as the (P, s) it was given and clears p by p's own
 denominators; it picks no scale of its own. See README's "Denominator
 scaling".
 """
@@ -179,15 +182,17 @@ def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) 
     return quotient, scale
 
 
-def _reduced(quotient: list[int], scale: int) -> list[Fraction]:
-    """C_j / s**j for j = 1, 2, ..., each a reduced Fraction."""
+def _reduced(values: list[int], scale: int, power: int) -> list[Fraction]:
+    """values[j] / (power * s**j) for j = 0, 1, ..., each a reduced Fraction.
+
+    ``power`` is 1 or s, so s = 1 leaves every value an integer.
+    """
     if scale == 1:
-        return [Fraction(c) for c in quotient]
+        return [Fraction(v) for v in values]
     terms = []
-    power = 1
-    for c in quotient:
+    for v in values:
+        terms.append(Fraction(v, power))
         power *= scale
-        terms.append(Fraction(c, power))
     return terms
 
 
@@ -196,22 +201,27 @@ def divide_descending(numerator: Polynomial, denominator: Polynomial, order: int
 
     The terms of :func:`scaled_quotient`, reduced.
     """
-    return DescendingSeries(-1, _reduced(*scaled_quotient(numerator, denominator, order)))
+    quotient, scale = scaled_quotient(numerator, denominator, order)
+    return DescendingSeries(-1, _reduced(quotient, scale, scale))
 
 
 def scaled_log_derivative(p: Polynomial, k_max: int) -> tuple[list[int], int]:
-    """C_1..C_(k_max+1) and s, with p_k = C_(k+1) / s**(k+1), from p'(x)/p(x).
+    """P_0..P_k_max and s, with p_k = P_k / s**k, from x*p'(x)/p(x).
 
-    The 1/x coefficient of the descending expansion is the degree and
-    the 1/x^(k+1) coefficient is the k-th power sum, so each value sits
-    one power of s ahead of its index. Scaling p by a nonzero constant
-    cancels in p'/p, so non-monic input needs no normalization.
+    The quotient (x*p' - n*p)/p is p_1/x + p_2/x^2 + ..., and P_0 = n.
+    Coefficient i of x*p' - n*p is (i - n)*c_i, so its degree is below n
+    and its denominators divide those of p's at the same exponent: the
+    scale is the one p alone asks for. Scaling p by a nonzero constant
+    cancels in the quotient, so non-monic input needs no normalization.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("log-derivative expansion needs degree at least 1")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    return scaled_quotient(p.derivative(), p, k_max + 1)
+    n = p.degree
+    shifted = [Fraction((i - n) * c.numerator, c.denominator) for i, c in enumerate(p.coefficients)]
+    quotient, scale = scaled_quotient(Polynomial(shifted), p, max(k_max, 1))
+    return [n, *quotient[:k_max]], scale
 
 
 def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
@@ -219,7 +229,7 @@ def log_derivative_power_sums(p: Polynomial, k_max: int) -> list[Fraction]:
 
     The values of :func:`scaled_log_derivative`, reduced.
     """
-    return _reduced(*scaled_log_derivative(p, k_max))
+    return _reduced(*scaled_log_derivative(p, k_max), 1)
 
 
 def _product(terms: list[int], coeffs: list[int]) -> list[int]:
@@ -275,9 +285,9 @@ def _residuals(
     """The residuals of (series) * p - p', computed in ``int``.
 
     The series' coefficient of x**(start_exponent - i) is
-    terms[i] / (d * scale**(i+1)). Row u of the product touches terms
-    0..u only, so it is cleared by M * d * scale**(u+1), with M the lcm
-    of p's denominators and B_j = M times p's coefficient j: the term
+    terms[i] / (d * scale**i). Row u of the product touches terms 0..u
+    only, so it is cleared by M * d * scale**u, with M the lcm of p's
+    denominators and B_j = M times p's coefficient j: the term
     i = u + j - n then comes with B_j * scale**(n-j), whatever u is.
     The residual's Fraction is built only when it is nonzero.
     """
@@ -289,16 +299,16 @@ def _residuals(
     for u, value in enumerate(_product(terms, weighted)):
         exponent = start - u
         if 0 <= exponent < n:  # the rows that carry p'
-            value -= (exponent + 1) * coeffs[exponent + 1] * d * scale ** (u + 1)
-        residuals.append((exponent, Fraction(value, m * d * scale ** (u + 1)) if value else _ZERO))
+            value -= (exponent + 1) * coeffs[exponent + 1] * d * scale**u
+        residuals.append((exponent, Fraction(value, m * d * scale**u) if value else _ZERO))
     return CrossCheckReport(tuple(residuals))
 
 
 def scaled_cross_check(p: Polynomial, quotient: list[int], scale: int) -> CrossCheckReport:
     """The cross-multiplied check on p'/p as :func:`scaled_log_derivative` returns it.
 
-    ``quotient`` and ``scale`` are C_1, C_2, ... and s, the series
-    C_1/(s x) + C_2/(s x)^2 + ...; nothing is reduced.
+    ``quotient`` and ``scale`` are P_0, P_1, ... and s, the series
+    P_0/x + P_1/(s x^2) + P_2/(s^2 x^3) + ...; nothing is reduced.
     """
     return _residuals(p, -1, quotient, scale, 1)
 

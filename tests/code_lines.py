@@ -1,4 +1,4 @@
-"""Count the code lines of the package source, per module and in total.
+"""Count the code lines of the package source, per module and in total, and of the tests.
 
     python tests/code_lines.py
 
@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rootsums"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rootsums"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -46,6 +47,8 @@ def main() -> None:
         total += count
         print(f"{path.name:<16}{count:>6}")
     print(f"{'total':<16}{total:>6}")
+    tests = sum(code_lines(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py"))
+    print(f"{'tests/*.py':<16}{tests:>6}")
 
 
 if __name__ == "__main__":

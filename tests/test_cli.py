@@ -387,15 +387,15 @@ def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, argv):
 
 
 def _corrupt_p2(monkeypatch):
-    """Make verify's series kernel return p2 + 1: C_3 + s**3 for C_3."""
+    """Make verify's series kernel return p2 + 1: P_2 + s**2 for P_2."""
     import rootsums.cli as cli
 
     expand = cli.scaled_log_derivative
 
     def corrupted(p, k):
-        quotient, scale = expand(p, k)
-        quotient[2] += scale**3
-        return quotient, scale
+        sums, scale = expand(p, k)
+        sums[2] += scale**2
+        return sums, scale
 
     monkeypatch.setattr(cli, "scaled_log_derivative", corrupted)
 
@@ -437,8 +437,8 @@ def test_verify_catches_a_corrupted_series(capsys, monkeypatch):
 
 
 def test_verify_catches_a_corrupted_series_at_scale_two(capsys, monkeypatch):
-    # s = 2 and M = 3: p2 = 5/4 becomes C_3/8 = 18/8, written reduced, and
-    # the residual at x^-1 is the leading coefficient 2/3.
+    # s = 2 and M = 3: p2 = 5/4 becomes P_2/4 = 9/4, and the residual at
+    # x^-1 is the leading coefficient 2/3.
     _corrupt_p2(monkeypatch)
     failures = (
         "recurrence-series agreement  FAIL  p2: 5/4 != 9/4\n"

@@ -142,24 +142,24 @@ def test_cross_multiplied_check_matches_fraction_residuals(instance):
 
 @st.composite
 def kernel_series(draw):
-    """A non-monic rational p, its kernel's (C, s) with s > 1, and C with one term moved."""
+    """A non-monic rational p, its kernel's (P, s) with s > 1, and P with one term moved."""
     n = draw(st.integers(min_value=1, max_value=6))
     p = Polynomial([*draw(st.lists(big_rationals, min_size=n, max_size=n)), draw(leading)])
     k_max = draw(st.integers(min_value=0, max_value=3 * n))
-    quotient, scale = scaled_log_derivative(p, k_max)
+    sums, scale = scaled_log_derivative(p, k_max)
     assume(scale > 1)
-    moved = list(quotient)
+    moved = list(sums)
     moved[draw(st.integers(min_value=0, max_value=k_max))] += draw(st.sampled_from([1, -1]))
-    return p, scale, quotient, moved
+    return p, scale, sums, moved
 
 
 @given(kernel_series())
 def test_cross_check_on_the_kernel_integers_matches_fraction_residuals(instance):
-    p, scale, quotient, moved = instance
-    for terms in (quotient, moved):
-        reduced = DescendingSeries(-1, [F(c, scale ** (j + 1)) for j, c in enumerate(terms)])
+    p, scale, sums, moved = instance
+    for terms in (sums, moved):
+        reduced = DescendingSeries(-1, [F(v, scale**k) for k, v in enumerate(terms)])
         assert scaled_cross_check(p, terms, scale) == reference_cross_multiplied_check(p, reduced)
-    assert scaled_cross_check(p, quotient, scale).ok
+    assert scaled_cross_check(p, sums, scale).ok
     assert not scaled_cross_check(p, moved, scale).ok
 
 

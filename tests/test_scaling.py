@@ -116,6 +116,21 @@ def rational_polys(draw):
     return Polynomial([*draw(st.lists(big_rationals, min_size=1, max_size=10)), draw(leading)])
 
 
+@given(
+    st.one_of(
+        rational_polys(),
+        # x^n times a constant: x*p' - n*p is the zero polynomial.
+        st.builds(
+            lambda n, a: Polynomial([0] * n + [a]), st.integers(min_value=1, max_value=10), leading
+        ),
+    ),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=30)),
+)
+def test_series_kernel_returns_the_recurrence_pair(p, k_max):
+    # x*p'/p = n + p_1/x + p_2/x^2 + ...: the same P_k and s as the recurrence.
+    assert series.scaled_log_derivative(p, k_max) == newton.scaled_power_sums(to_signed(p), k_max)
+
+
 @given(rational_polys())
 def test_recurrence_scale_clears_every_denominator_and_divides_the_lcm(p):
     values = to_signed(p).values
