@@ -99,6 +99,10 @@ rootsums powersums --k 3 -- "-x^2 + 3x"
 """
 
 
+# How many times _ratio divides out a common factor of the scale before it
+# falls back to a full gcd.
+_PEELS = 4
+
 # What a command returns: its payload (the --json object, every rational a
 # "num/den" string that _texts writes from scaled integers or, in verify and
 # coeffs, an exact Fraction that the encoder writes as that string) and the
@@ -144,12 +148,23 @@ def _check(name: str, residual: str | None) -> dict:
 def _ratio(numerator: int, scale: int, denominator: int) -> str:
     """numerator/denominator in lowest terms, as str(Fraction) writes it.
 
-    The denominator is a power of scale, so it has no prime that scale
-    lacks: a numerator coprime to scale is coprime to it, and the pair is
-    already reduced. Any other pair is divided by its gcd, the one
-    Fraction would compute.
+    The denominator divides a power of scale, so every prime it has
+    divides scale, and the pair is reduced exactly when
+    g = gcd(gcd(numerator, scale), denominator) is 1. Each peel divides
+    both by g, a divisor of scale, which costs a small-by-big division
+    where a full gcd of the two big ints would cost far more. A pair
+    that still shares a prime after _PEELS peels is divided by its full
+    gcd, the one Fraction would compute.
     """
-    if math.gcd(numerator, scale) != 1:
+    for _ in range(_PEELS):
+        common = math.gcd(numerator, scale)
+        if common != 1:
+            common = math.gcd(common, denominator)
+        if common == 1:
+            break
+        numerator //= common
+        denominator //= common
+    else:
         common = math.gcd(numerator, denominator)
         numerator //= common
         denominator //= common
@@ -157,7 +172,12 @@ def _ratio(numerator: int, scale: int, denominator: int) -> str:
 
 
 def _texts(sums: list[int], scale: int) -> list[str]:
-    """The strings of sums[k]/scale**k, k = 0, 1, ..."""
+    """The strings of sums[k]/scale**k, k = 0, 1, ...
+
+    The kernels take the least exponent of s at every prime below 100,
+    so P_k and s^k share little, and most values leave _ratio at once
+    or after one peel.
+    """
     out = []
     power = 1
     for v in sums:

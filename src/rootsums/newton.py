@@ -21,21 +21,31 @@ At k = n the two coincide because p_0 = n turns a_n*p_0 into n*a_n;
 :class:`InternalError` if they differ rather than trusting it.
 
 Both directions run on plain ``int``, scaled by an s from :func:`_scale`
-(den(v_i) divides s^i, v_i = a_i or p_i); the checks in
+(den(v_i) divides s^i, v_i = a_i or p_i): greedy, then the least exponent
+that works at every prime below 100 that greedy took more than once. So
+a polynomial whose rational roots have denominators with no prime above
+100 gets the lcm of those denominators as s. The checks in
 :mod:`rootsums.roots` never use s. The recurrence's kernels return the
 scaled integers and s, which the CLI prints without reducing; the
-public functions reduce them to ``Fraction``. See README's
+public functions reduce them to ``Fraction``. The full-window step
+reads the last n sums from a deque, newest first. See README's
 "Denominator scaling".
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .polynomial import InternalError, SignedCoefficients, exact
+
+
+# The primes at which _scale looks for a smaller exponent than greedy's: a
+# fixed list, since finding larger ones would mean factoring denominators.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def _window(weights: Sequence, sums: Sequence, k: int, width: int):
@@ -54,11 +64,30 @@ def _scale(values: Sequence[Fraction]) -> int:
     den(v_i) that s^i does not cover yet. No prime's exponent in s ever
     exceeds its exponent in the lcm of the denominators, so s divides
     that lcm.
+
+    Greedy can take a prime more often than any v_i needs it, so each
+    prime q below 100 that s holds more than once is then cut to the
+    least sound exponent, the largest ⌈v_q(den v_i)/i⌉. A prime taken
+    once is already least, and larger primes stay as greedy took them.
+    The result still divides greedy's s. For the coefficients of a
+    polynomial whose rational roots have denominators with only primes
+    below 100, it is the lcm of those denominators.
     """
+    dens = [a.denominator for a in values]
     s = 1
-    for i, a in enumerate(values, start=1):
-        d = a.denominator
+    for i, d in enumerate(dens, start=1):
         s *= d // math.gcd(d, s**i)
+    for q in _SMALL_PRIMES:
+        if q * q > s:
+            break
+        if s % (q * q) == 0:
+            need = 0
+            for i, d in enumerate(dens, start=1):
+                while d % q ** (need * i + 1) == 0:
+                    need += 1
+            while s % q == 0:
+                s //= q
+            s *= q**need
     return s
 
 
@@ -91,14 +120,16 @@ def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int]
     scale = _scale(signed.values)
     weights = _alternating_scaled(signed.values, scale, "a")
     sums = [n]
+    recent = deque(maxlen=n)  # the last n of P_1, P_2, ..., newest first
     for k in range(1, k_max + 1):
         if k <= n:
             value = _window(weights, sums, k, k - 1) + k * weights[k - 1]
             if k == n and value != _window(weights, sums, k, n):
                 raise InternalError("short and full-window recurrences disagree at k == n")
         else:
-            value = _window(weights, sums, k, n)
+            value = sum(map(mul, weights, recent))
         sums.append(value)
+        recent.appendleft(value)
     return sums, scale
 
 

@@ -19,11 +19,12 @@ in descending powers and truncated multiplication by a polynomial. There
 is no general series ring.
 
 The division runs in plain ``int`` after x -> x/s, with an s of its own
-(:func:`_scale`), and its kernels return those integers and s; the
-public functions reduce them to ``Fraction``. The multiply-back check
-reads a series as the (P, s) it was given and clears p by p's own
-denominators; it picks no scale of its own. See README's "Denominator
-scaling".
+(:func:`_scale`: greedy, then the least exponent at every prime below
+100 that greedy took more than once), and its kernels return those
+integers and s; the public functions reduce them to ``Fraction``. The
+multiply-back check reads a series as the (P, s) it was given and
+clears p by p's own denominators; it picks no scale of its own. See
+README's "Denominator scaling".
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def descending_text(start_exponent: int, coefficients: Sequence[Fraction | str])
     return "".join(parts)
 
 
+# The primes at which _scale looks for a smaller exponent than greedy's: a
+# fixed list, since finding larger ones would mean factoring denominators.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
 def _scale(den: Sequence[Fraction], num: Sequence[Fraction]) -> int:
     """A scale s with den(c) dividing s^(n-i) for coefficient i of either list.
 
@@ -109,14 +115,34 @@ def _scale(den: Sequence[Fraction], num: Sequence[Fraction]) -> int:
     the exponent e = n - i = 1, 2, ...: s takes on the part of den(c)
     that s^e does not cover yet. No prime's exponent in s ever exceeds
     its exponent in the lcm of the denominators, so s divides that lcm.
+
+    Then each prime q below 100 that greedy took more than once is cut
+    to the least exponent that still clears every coefficient, the
+    largest ⌈v_q(den c)/e⌉ over both lists; a prime taken once is
+    already least, and larger primes keep greedy's exponent. So s
+    divides greedy's, and for p = c·Π(x − r) over rational roots r whose
+    denominators have only primes below 100, s is their lcm.
     """
     n = len(den)
+    lists = [c.denominator for c in den], [c.denominator for c in num]
     s = 1
     for e in range(1, n + 1):
-        for coeffs in (den, num):
-            if n - e < len(coeffs):
-                d = coeffs[n - e].denominator
+        for dens in lists:
+            if n - e < len(dens):
+                d = dens[n - e]
                 s *= d // math.gcd(d, s**e)
+    for q in _SMALL_PRIMES:
+        if q * q > s:
+            break
+        if s % (q * q) == 0:
+            need = 0
+            for dens in lists:
+                for i, d in enumerate(dens):
+                    while d % q ** (need * (n - i) + 1) == 0:
+                        need += 1
+            while s % q == 0:
+                s //= q
+            s *= q**need
     return s
 
 
@@ -139,7 +165,8 @@ def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) 
     scale s with each such denominator dividing s^(n-i) gives a monic
     integer denominator Q(x) and an integer numerator N'(x). Their
     quotient series has integer coefficients C_j, and c_j = C_j / s^j.
-    :func:`_scale` picks s greedily.
+    :func:`_scale` picks s greedily, then cuts each prime below 100
+    that greedy took more than once to the least exponent that works.
     """
     if denominator.is_zero:
         raise ZeroDivisionError("series division by the zero polynomial")

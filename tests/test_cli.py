@@ -375,7 +375,7 @@ def test_regime_boundary_disagreement_exits_three(capsys, monkeypatch):
     ids=["newton-powersums", "series-series", "newton-coeffs"],
 )
 def test_unsound_kernel_scale_exits_three(capsys, monkeypatch, module, argv):
-    # The sound scale for x^2 - 1/2x + 1/16 is 8; 2 leaves 1/16 * 2^2 fractional.
+    # The sound scale for x^2 - 1/2x + 1/16 is 4; 2 leaves 1/16 * 2^2 fractional.
     # Its power sums p_1 = 1/2, p_2 = 1/8 need 4; 2 leaves 1/8 * 2^2 fractional.
     import importlib
 

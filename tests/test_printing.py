@@ -20,21 +20,31 @@ from rootsums.series import scaled_log_derivative
 # s = 840 leaves most numerators coprime to it, s = 22680 = 2^3*3^4*5*7 few.
 SCALES = (1, 2, 840, 2310, 22680)
 
-# perfbench/workloads.py's _roots(random.Random(3), 16): the direct route's
-# B is 12, both coefficient kernels' s is 48.
-UNEQUAL_SCALES = "-9/2, 8, -8/3, -1, 7/2, -3/4, -1, -5, 2, 7/4, -6, -3/4, -5/4, 7/4, 9/4, -6"
+# B = 404 = 2^2*101, both coefficient kernels' s is 40804 = 2^2*101^2:
+# a_2 = -1/101^2 makes greedy take 101 twice, and the kernels cut only
+# primes below 100 back to their least exponent.
+UNEQUAL_SCALES = "1/101, -1/101, 3/4"
 
 # B and both kernels' s are 6: equal scales above 1.
 EQUAL_SCALES = "1/2, 1/3, 2"
 
+# perfbench/workloads.py's _roots(random.Random(3), 16): B and both kernels'
+# s are 12.
+POOL_ROOTS = "-9/2, 8, -8/3, -1, 7/2, -3/4, -1, -5, 2, 7/4, -6, -3/4, -5/4, 7/4, 9/4, -6"
+
 
 @st.composite
 def scaled_values(draw):
-    """(P, s, k): P often a multiple of a power of s, so reduction has work."""
+    """(P, s, k): P often a multiple of a power of s or of one prime of s.
+
+    So reduction has work: some values need more peels than _ratio's
+    bound allows, and some share only one prime with s.
+    """
     s = draw(st.sampled_from(SCALES))
+    base = draw(st.sampled_from([s] + [q for q in (2, 3, 5, 7, 11) if s % q == 0]))
     k = draw(st.integers(min_value=0, max_value=30))
     m = draw(st.one_of(st.just(0), st.integers(min_value=-(10**30), max_value=10**30)))
-    return m * s ** draw(st.integers(min_value=0, max_value=k + 2)), s, k
+    return m * base ** draw(st.integers(min_value=0, max_value=2 * k + 2)), s, k
 
 
 @given(scaled_values())
@@ -76,8 +86,9 @@ def routes(text, k):
 
 def test_routes_with_unequal_scales_compare_equal():
     direct, recurrence, series = routes(UNEQUAL_SCALES, 40)
-    assert (direct[1], recurrence[1], series[1]) == (12, 48, 48)
+    assert (direct[1], recurrence[1], series[1]) == (404, 40804, 40804)
     assert cli._same_sums(direct, recurrence)
+    assert cli._same_sums(recurrence, direct)
     assert cli._same_sums(direct, series)
     assert series == recurrence
 
@@ -88,6 +99,12 @@ def test_routes_with_equal_scales_compare_equal():
     assert cli._same_sums(direct, recurrence)
     assert cli._same_sums(direct, series)
     assert series == recurrence
+
+
+def test_pool_roots_give_every_route_the_scale_b():
+    direct, recurrence, series = routes(POOL_ROOTS, 40)
+    assert (direct[1], recurrence[1], series[1]) == (12, 12, 12)
+    assert direct == recurrence == series
 
 
 def off_by_one(kernel, index):

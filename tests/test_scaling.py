@@ -1,11 +1,12 @@
 """The integer kernels against unscaled Fraction references, where scaling matters.
 
 Both coefficient-only kernels clear denominators (x -> x/s) and run in
-int, each with its own greedy scale s. These properties use large
-denominators and non-monic leading coefficients, so s is large and
-every power of it must cancel exactly. Roots that share one denominator
-give polynomials whose s is far below L, the lcm of the coefficient
-denominators.
+int, each with its own scale s: greedy, then cut to the least exponent
+at every prime below 100 that greedy took more than once. These
+properties use large denominators and non-monic leading coefficients,
+so s is large and every power of it must cancel exactly. Roots that
+share one denominator give polynomials whose s is far below L, the lcm
+of the coefficient denominators.
 """
 
 import math
@@ -152,8 +153,8 @@ def test_division_scale_clears_every_denominator_and_divides_the_lcm(pair):
 @pytest.mark.parametrize(
     "p, s, lcm",
     [
-        (parse_polynomial("x^2 - 1/2x + 1/16"), 8, 16),  # 4 would do: the greedy s is not minimal
-        (poly_from_roots([F(1, 12)] * 6), 24, 12**6),
+        (parse_polynomial("x^2 - 1/2x + 1/16"), 4, 16),
+        (poly_from_roots([F(1, 12)] * 6), 12, 12**6),
         (Polynomial([2, -3, 1]), 1, 1),  # integer input runs unscaled
     ],
 )
@@ -162,3 +163,71 @@ def test_pinned_scales_in_both_kernels(p, s, lcm):
     assert math.lcm(*[a.denominator for a in values]) == lcm
     assert newton._scale(values) == s
     assert series._scale(*monic_parts(p.derivative(), p)) == s
+
+
+SMALL_PRIMES = [q for q in range(2, 100) if all(q % d for d in range(2, q))]
+
+
+def reference_recurrence_scale(values):
+    """The recurrence's scale without the cut at small primes: greedy alone."""
+    s = 1
+    for i, a in enumerate(values, start=1):
+        d = a.denominator
+        s *= d // math.gcd(d, s**i)
+    return s
+
+
+def reference_division_scale(den, num):
+    """The division's scale without the cut at small primes: greedy alone."""
+    n = len(den)
+    s = 1
+    for e in range(1, n + 1):
+        for coeffs in (den, num):
+            if n - e < len(coeffs):
+                d = coeffs[n - e].denominator
+                s *= d // math.gcd(d, s**e)
+    return s
+
+
+def recurrence_clears(values, s):
+    return all(s**i % a.denominator == 0 for i, a in enumerate(values, start=1))
+
+
+def division_clears(den, num, s):
+    n = len(den)
+    return all(s ** (n - i) % c.denominator == 0 for coeffs in (den, num) for i, c in enumerate(coeffs))
+
+
+@given(rational_polys())
+def test_recurrence_scale_is_least_at_small_primes_and_divides_greedy(p):
+    values = to_signed(p).values
+    s = newton._scale(values)
+    assert reference_recurrence_scale(values) % s == 0
+    for q in SMALL_PRIMES:
+        if s % q == 0:
+            assert not recurrence_clears(values, s // q)
+
+
+@given(st.one_of(rational_polys().map(lambda p: (p.derivative(), p)), division_pairs()))
+def test_division_scale_is_least_at_small_primes_and_divides_greedy(pair):
+    den, num = monic_parts(*pair)
+    s = series._scale(den, num)
+    assert reference_division_scale(den, num) % s == 0
+    for q in SMALL_PRIMES:
+        if s % q == 0:
+            assert not division_clears(den, num, s // q)
+
+
+small_denominator_roots = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=99), min_size=1, max_size=10
+)
+
+
+@given(small_denominator_roots, leading)
+def test_rational_roots_scale_by_the_lcm_of_their_denominators(roots, lead):
+    # Each root's denominator divides s, since s*r is a rational root of a
+    # monic integer polynomial; s divides their lcm B, since den(e_i) divides B^i.
+    p = poly_from_roots(roots) * lead
+    b = math.lcm(*[r.denominator for r in roots])
+    assert newton._scale(to_signed(p).values) == b
+    assert series._scale(*monic_parts(p.derivative(), p)) == b
