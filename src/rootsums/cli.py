@@ -21,8 +21,9 @@ none. ``verify`` reads the series from its kernel and runs both series
 checks on those integers. Its recurrence is the one route still read
 through a reducing public function; ROADMAP's "Settled" says why.
 
-Exit codes: 1 usage or parse error, or a request too large to hold in
-memory, 2 mathematical domain error, 3 internal cross-route
+Exit codes: 1 usage or parse error, a request too large to hold in
+memory, or output that could not be written (a closed pipe, a full
+disk), 2 mathematical domain error, 3 internal cross-route
 disagreement (never expected). Otherwise the exit code comes from the
 payload's ``checks``: 2 if any verification check failed, 0 if all
 passed.
@@ -34,6 +35,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -511,7 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         payload, render = args.handler(args)
-        print(json.dumps(payload, default=str) if args.json else render(payload))
+        text = json.dumps(payload, default=str) if args.json else render(payload)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -530,6 +532,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
     finally:
         sys.set_int_max_str_digits(limit)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as err:
+        # A closed pipe or a full disk. Point fd 1 at the null device, so
+        # that the interpreter's flush of the rest at exit fails silently.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if all(c["pass"] for c in payload["checks"]) else EXIT_MATH
 
 

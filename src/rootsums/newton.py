@@ -16,9 +16,14 @@ signed coefficients (a_i is the i-th elementary symmetric function):
     p_k = a_1*p_(k-1) - a_2*p_(k-2) + ... ± a_n*p_(k-n)
   (the full window of n previous sums, no bare term).
 
-At k = n the two coincide because p_0 = n turns a_n*p_0 into n*a_n;
-``scaled_power_sums`` evaluates both there and raises
-:class:`InternalError` if they differ rather than trusting it.
+``scaled_power_sums`` computes every p_k by one read: the signed
+coefficients times a deque of at most n previous sums, newest first.
+For k <= n the deque holds only p_(k-1)..p_1, so that read is the short
+window, and the bare k*a_k is added to it. At k = n the two regimes
+coincide because p_0 = n turns a_n*p_0 into n*a_n, so the full window
+is read once more there, off the list of sums, and a difference raises
+:class:`InternalError`. The check thus runs the same expression that
+computes every p_k past n.
 
 Both directions run on plain ``int``, scaled by an s from :func:`_scale`
 (den(v_i) divides s^i, v_i = a_i or p_i): greedy, then the least exponent
@@ -27,8 +32,7 @@ a polynomial whose rational roots have denominators with no prime above
 100 gets the lcm of those denominators as s. The checks in
 :mod:`rootsums.roots` never use s. The recurrence's kernels return the
 scaled integers and s, which the CLI prints without reducing; the
-public functions reduce them to ``Fraction``. The full-window step
-reads the last n sums from a deque, newest first. See README's
+public functions reduce them to ``Fraction``. See README's
 "Denominator scaling".
 """
 
@@ -48,12 +52,14 @@ from .polynomial import InternalError, SignedCoefficients, exact
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def _window(weights: Sequence, sums: Sequence, k: int, width: int):
-    """weights[0]*sums[k-1] + weights[1]*sums[k-2] + ... over ``width`` terms.
+def _window(weights: Sequence, sums: Sequence):
+    """weights[0]*sums[-1] + weights[1]*sums[-2] + ..., newest sum first.
 
     The weights carry the alternating signs: weights[i-1] = (-1)^(i-1)*a_i.
+    With sums = P_0..P_(n-1) this is the full window at k = n, read off
+    the list itself rather than the recurrence's deque.
     """
-    return sum(map(mul, weights[:width], reversed(sums[k - width : k])))
+    return sum(map(mul, weights, reversed(sums)))
 
 
 def _scale(values: Sequence[Fraction]) -> int:
@@ -111,8 +117,12 @@ def _alternating_scaled(values: Sequence[Fraction], scale: int, symbol: str) -> 
 def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int], int]:
     """P_0..P_k_max and s, with p_k = P_k / s**k the power sums of these roots.
 
-    Picks the short regime for k <= n and the full-window regime for
-    k > n. Degree 0 (no roots) gives all zeros.
+    Every P_k is one read: the weights times a deque of the newest
+    sums. While k <= n the deque holds only P_(k-1)..P_1, so the read
+    is the short window and the bare k*a_k term closes it; past n it is
+    the full window. At k = n, :func:`_window` reads the full window off
+    the list, with P_0 = n, and the two must agree. Degree 0 (no roots)
+    gives all zeros.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -120,14 +130,13 @@ def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int]
     scale = _scale(signed.values)
     weights = _alternating_scaled(signed.values, scale, "a")
     sums = [n]
-    recent = deque(maxlen=n)  # the last n of P_1, P_2, ..., newest first
+    recent = deque(maxlen=n)  # the last (up to n) of P_1, P_2, ..., newest first
     for k in range(1, k_max + 1):
+        value = sum(map(mul, weights, recent))
         if k <= n:
-            value = _window(weights, sums, k, k - 1) + k * weights[k - 1]
-            if k == n and value != _window(weights, sums, k, n):
-                raise InternalError("short and full-window recurrences disagree at k == n")
-        else:
-            value = sum(map(mul, weights, recent))
+            value += k * weights[k - 1]
+        if k == n and value != _window(weights, sums):
+            raise InternalError("short and full-window recurrences disagree at k == n")
         sums.append(value)
         recent.appendleft(value)
     return sums, scale

@@ -1,6 +1,7 @@
 """Command behavior, exit codes, and the JSON contract."""
 
 import json
+import sys
 from operator import itemgetter
 
 import pytest
@@ -354,12 +355,25 @@ def test_regime_boundary_disagreement_exits_three(capsys, monkeypatch):
     import rootsums.newton as newton
 
     window = newton._window
-    monkeypatch.setattr(
-        newton,
-        "_window",
-        lambda w, s, k, width: window(w, s, k, width) + (width == 3),
-    )
+    monkeypatch.setattr(newton, "_window", lambda w, s: window(w, s) + 1)
     code, out, err = run(capsys, "powersums", "x^3 - 2x + 1", "--k", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+def test_misordered_recurrence_window_exits_three(capsys, monkeypatch):
+    # A deque that keeps the newest sum last feeds every p_k a reversed
+    # window. The k == n check compares that read with the list's window.
+    import collections
+    import rootsums.newton as newton
+
+    class OldestFirst(collections.deque):
+        def appendleft(self, value):
+            self.append(value)
+
+    monkeypatch.setattr(newton, "deque", OldestFirst)
+    code, out, err = run(capsys, "powersums", "--k", "12", "--", "x^3 - 2x^2 + 5x + 1")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:")
@@ -695,6 +709,38 @@ def test_out_of_memory_under_an_address_space_limit_is_not_a_traceback():
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: not enough memory for this request\n"
+
+
+# p_0..p_3000 of this polynomial print over 1 MB, more than a pipe holds.
+UNWRITABLE = [sys.executable, "-m", "rootsums.cli", "powersums", "x^2 - 3x + 2", "--k", "3000"]
+
+
+def assert_one_write_error(returncode, stderr: bytes) -> None:
+    assert returncode == 1
+    assert stderr.decode().startswith("error: cannot write the output:")
+    assert stderr.count(b"\n") == 1
+
+
+def test_closed_output_pipe_exits_one_without_a_traceback():
+    import subprocess
+
+    proc = subprocess.Popen(UNWRITABLE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(2) == b"p0"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert_one_write_error(proc.wait(timeout=120), stderr)
+
+
+def test_full_output_device_exits_one_without_a_traceback():
+    import os
+    import subprocess
+
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(UNWRITABLE, stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert_one_write_error(proc.returncode, proc.stderr)
 
 
 def test_requests_served_in_one_process_leave_no_memory_behind(capsys):
