@@ -19,14 +19,17 @@ Only ``verify`` and ``coeffs`` hold their power sums as exact
 ``verify``'s text mode prints none of its power sums, so it converts
 none. ``verify`` reads the series from its kernel and runs both series
 checks on those integers. Its recurrence is the one route still read
-through a reducing public function; ROADMAP's "Settled" says why.
+through a reducing public function; ROADMAP's "Settled" says why. It
+maps each check's name to the check's lazy failures, the first of which
+is the residual; its text renderer alone builds the tables that
+``--roots`` adds, keyed by the same names, so ``--json`` builds none.
 
 Exit codes: 1 usage or parse error, a request too large to hold in
 memory, or output that could not be written (a closed pipe, a full
-disk), 2 mathematical domain error, 3 internal cross-route
-disagreement (never expected). Otherwise the exit code comes from the
-payload's ``checks``: 2 if any verification check failed, 0 if all
-passed.
+disk; help and usage text included), 2 mathematical domain error, 3
+internal cross-route disagreement (never expected). Otherwise the exit
+code comes from the payload's ``checks``: 2 if any verification check
+failed, 0 if all passed.
 """
 
 from __future__ import annotations
@@ -127,11 +130,12 @@ def _require_k(args: argparse.Namespace) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract here says 1."""
+    """argparse with the same texts on every Python and no lost writes.
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    _check_value pins the invalid-choice message, and _print_message lets
+    a failed write through. Bad usage still exits 2, which main() maps to
+    EXIT_USAGE.
+    """
 
     # One invalid-choice message for every Python, as build_parser pins the
     # usage text: 3.13.13's argparse writes the choices unquoted.
@@ -140,6 +144,12 @@ class _ArgumentParser(argparse.ArgumentParser):
             choices = ", ".join(map(repr, action.choices))
             message = f"invalid choice: {value!r} (choose from {choices})"
             raise argparse.ArgumentError(action, message)
+
+    # Let a failed write through, for main() to report: argparse drops it
+    # from 3.11 on, and `--help > /dev/full` exited 0 with no output.
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def _check(name: str, residual: str | None) -> dict:
@@ -310,57 +320,51 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     recurrence = power_sums_from_coeffs(signed, args.k)
     series = scaled_log_derivative(poly, args.k)
     cross = scaled_cross_check(poly, *series)
-    # Each check: name, failures (the first is its residual), lazy text table.
-    checks = [
-        ("recurrence-series agreement", _disagreements(recurrence, *series), list),
-        (
-            "cross-multiplied identity",
-            (f"x^{e}: residual {v}" for e, v in cross.residuals if v != 0),
-            list,
+    # Each check's name maps to its lazy failures; the first is its
+    # residual. render builds the text tables, which --json never prints.
+    checks = {
+        "recurrence-series agreement": _disagreements(recurrence, *series),
+        "cross-multiplied identity": (
+            f"x^{e}: residual {v}" for e, v in cross.residuals if v != 0
         ),
-    ]
+    }
     if args.roots is not None:
         subst = verify_by_substitution(poly, roots, args.k)
         # k >= degree >= 1 here (degree 0 fails the root count, as the
         # parser returns at least one root), so the grid covers every
         # truncation degree and is never empty.
         grid = truncation_report(signed, roots, poly.degree)
-        checks += [
-            (
-                "root substitution",
-                (f"p({r}) = {v}" for r, v in subst.root_residuals if v != 0),
-                lambda: _table(
-                    [(f"p({r})", str(v)) for r, v in subst.root_residuals], "  ", "  "
-                ),
+        checks |= {
+            "root substitution": (f"p({r}) = {v}" for r, v in subst.root_residuals if v != 0),
+            "collected window identities": (
+                f"k={k}: residual {v}" for k, v in subst.window_residuals if v != 0
             ),
-            (
-                "collected window identities",
-                (f"k={k}: residual {v}" for k, v in subst.window_residuals if v != 0),
-                lambda: _table(
-                    [(f"k={k}", str(v)) for k, v in subst.window_residuals], "  ", "  "
-                ),
+            "truncation grid": (
+                f"degree {c.degree}, p{c.index}: {c.truncated} != {c.direct}"
+                for c in grid.cells
+                if not c.equal
             ),
-            (
-                "truncation grid",
-                (
-                    f"degree {c.degree}, p{c.index}: {c.truncated} != {c.direct}"
-                    for c in grid.cells
-                    if not c.equal
-                ),
-                partial(_grid_lines, grid),
-            ),
-        ]
+        }
 
     def render(payload: dict) -> str:
+        tables = {}  # the lines printed under a check's line, by check name
+        if args.roots is not None:
+            root_rows = [(f"p({r})", str(v)) for r, v in subst.root_residuals]
+            window_rows = [(f"k={k}", str(v)) for k, v in subst.window_residuals]
+            tables = {
+                "root substitution": _table(root_rows, "  ", "  "),
+                "collected window identities": _table(window_rows, "  ", "  "),
+                "truncation grid": _grid_lines(grid),
+            }
         width = max(len(c["name"]) for c in payload["checks"])
         lines = []
-        for c, (_, _, table) in zip(payload["checks"], checks):
+        for c in payload["checks"]:
             status = "pass" if c["pass"] else "FAIL"
             residual = f"  {c['residual']}" if c["residual"] else ""
-            lines += [f"{c['name']:<{width}}  {status}{residual}", *table()]
+            lines += [f"{c['name']:<{width}}  {status}{residual}", *tables.get(c["name"], [])]
         return "\n".join(lines)
 
-    results = [_check(name, next(failures, None)) for name, failures, _ in checks]
+    results = [_check(name, next(failures, None)) for name, failures in checks.items()]
     return {"degree": poly.degree, "power_sums": recurrence, "checks": results}, render
 
 
@@ -498,11 +502,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _write_failed(err: OSError) -> int:
+    """Report output that could not be written (a closed pipe, a full disk).
+
+    fd 1 is pointed at the null device first, so that the interpreter's
+    flush of the rest at exit fails silently.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"error: cannot write the output: {err}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 after printing help, which may still wait in
+            # stdout's buffer, and 2 on bad usage, where the contract says 1.
+            sys.stdout.flush()
+            return EXIT_USAGE if exc.code == 2 else exc.code
+    except OSError as err:
+        return _write_failed(err)
     # Lift CPython's int-to-str digit limit while the command runs: exact
     # results legitimately grow past the default 4,300 digits and must
     # still print. The limit guards int() against huge strings, and no
@@ -536,15 +559,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(text)
         sys.stdout.flush()
     except OSError as err:
-        # A closed pipe or a full disk. Point fd 1 at the null device, so
-        # that the interpreter's flush of the rest at exit fails silently.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write the output: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _write_failed(err)
     return EXIT_OK if all(c["pass"] for c in payload["checks"]) else EXIT_MATH
-
 
 if __name__ == "__main__":
     sys.exit(main())

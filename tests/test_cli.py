@@ -711,8 +711,19 @@ def test_out_of_memory_under_an_address_space_limit_is_not_a_traceback():
     assert proc.stderr == "error: not enough memory for this request\n"
 
 
-# p_0..p_3000 of this polynomial print over 1 MB, more than a pipe holds.
-UNWRITABLE = [sys.executable, "-m", "rootsums.cli", "powersums", "x^2 - 3x + 2", "--k", "3000"]
+CLI = [sys.executable, "-m", "rootsums.cli"]
+# A command's output, whose p_0..p_3000 print over 1 MB, more than any
+# buffer holds, and argparse's help text, which sits in stdout's buffer
+# until the flush.
+UNWRITABLE = pytest.mark.parametrize(
+    "argv",
+    [
+        [*CLI, "powersums", "x^2 - 3x + 2", "--k", "3000"],
+        [*CLI, "--help"],
+        [*CLI, "powersums", "--help"],
+    ],
+    ids=["powersums", "help", "powersums-help"],
+)
 
 
 def assert_one_write_error(returncode, stderr: bytes) -> None:
@@ -721,25 +732,31 @@ def assert_one_write_error(returncode, stderr: bytes) -> None:
     assert stderr.count(b"\n") == 1
 
 
-def test_closed_output_pipe_exits_one_without_a_traceback():
+@UNWRITABLE
+def test_closed_output_pipe_exits_one_without_a_traceback(argv):
+    import os
     import subprocess
 
-    proc = subprocess.Popen(UNWRITABLE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(2) == b"p0"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert_one_write_error(proc.wait(timeout=120), stderr)
+    # The read end is closed before the child starts, so its first write
+    # fails, however little it writes.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert_one_write_error(proc.returncode, proc.stderr)
 
 
-def test_full_output_device_exits_one_without_a_traceback():
+@UNWRITABLE
+def test_full_output_device_exits_one_without_a_traceback(argv):
     import os
     import subprocess
 
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(UNWRITABLE, stdout=full, stderr=subprocess.PIPE, timeout=120)
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, timeout=120)
     assert_one_write_error(proc.returncode, proc.stderr)
 
 
