@@ -166,8 +166,11 @@ def _ratio(numerator: int, scale: int, denominator: int) -> str:
     both by g, a divisor of scale, which costs a small-by-big division
     where a full gcd of the two big ints would cost far more. A pair
     that still shares a prime after _PEELS peels is divided by its full
-    gcd, the one Fraction would compute.
+    gcd, the one Fraction would compute. At s = 1 the denominator is 1,
+    and the value is its own text.
     """
+    if scale == 1:
+        return str(numerator)
     for _ in range(_PEELS):
         common = math.gcd(numerator, scale)
         if common != 1:

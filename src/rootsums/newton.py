@@ -23,7 +23,9 @@ window, and the bare k*a_k is added to it. At k = n the two regimes
 coincide because p_0 = n turns a_n*p_0 into n*a_n, so the full window
 is read once more there, off the list of sums, and a difference raises
 :class:`InternalError`. The check thus runs the same expression that
-computes every p_k past n.
+computes every p_k past n. It runs again at k = n + 1, where the deque
+is full for the first time, so the a_n*p_1 term of the deque read is
+checked too.
 
 Both directions run on plain ``int``, scaled by an s from :func:`_scale`
 (den(v_i) divides s^i, v_i = a_i or p_i): greedy, then the least exponent
@@ -56,8 +58,9 @@ def _window(weights: Sequence, sums: Sequence):
     """weights[0]*sums[-1] + weights[1]*sums[-2] + ..., newest sum first.
 
     The weights carry the alternating signs: weights[i-1] = (-1)^(i-1)*a_i.
-    With sums = P_0..P_(n-1) this is the full window at k = n, read off
-    the list itself rather than the recurrence's deque.
+    With sums = P_0..P_(n-1) this is the full window at k = n, and with
+    sums = P_0..P_n (the weights stop at a_n) the one at k = n + 1, read
+    off the list itself rather than the recurrence's deque.
     """
     return sum(map(mul, weights, reversed(sums)))
 
@@ -121,8 +124,9 @@ def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int]
     sums. While k <= n the deque holds only P_(k-1)..P_1, so the read
     is the short window and the bare k*a_k term closes it; past n it is
     the full window. At k = n, :func:`_window` reads the full window off
-    the list, with P_0 = n, and the two must agree. Degree 0 (no roots)
-    gives all zeros.
+    the list, with P_0 = n, and the two must agree; at k = n + 1, the
+    first step with n sums in the deque, they must agree again. Degree 0
+    (no roots) gives all zeros.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -135,8 +139,8 @@ def scaled_power_sums(signed: SignedCoefficients, k_max: int) -> tuple[list[int]
         value = sum(map(mul, weights, recent))
         if k <= n:
             value += k * weights[k - 1]
-        if k == n and value != _window(weights, sums):
-            raise InternalError("short and full-window recurrences disagree at k == n")
+        if n <= k <= n + 1 and value != _window(weights, sums):
+            raise InternalError(f"the deque and list windows disagree at k = {k}")
         sums.append(value)
         recent.appendleft(value)
     return sums, scale

@@ -8,15 +8,17 @@ with n the degree and p_k the k-th power sum of the roots: each root r
 contributes x/(x-r) = 1 + r/x + r^2/x^2 + ..., and the expansion
 collects all of them at once. The kernel divides x*p' - n*p by p, which
 leaves p_1/x + p_2/x^2 + ..., and sets p_0 = n, as the recurrence does.
-The division algorithm below computes that series straight from the
-coefficients, so no roots are ever needed. This route is fully
+The division computes that series straight from the coefficients, so
+no roots are ever needed: each term is the numerator's coefficient
+minus the denominator's low coefficients times the newest terms, one
+read of a window of at most n of them. This route is fully
 independent of the recurrences in :mod:`rootsums.newton` and serves as
 their cross-check. The same values, one power of x down, are the
 series of p'/p that the ``series`` command prints.
 
 Series support here is only what the expansion needs: truncated division
-in descending powers and truncated multiplication by a polynomial. There
-is no general series ring.
+in descending powers and truncated multiplication by a polynomial, each
+computing one term per window read. There is no general series ring.
 
 The division runs in plain ``int`` after x -> x/s, with an s of its own
 (:func:`_scale`: greedy, then the least exponent at every prime below
@@ -30,8 +32,9 @@ README's "Denominator scaling".
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .polynomial import _ZERO, InternalError, Polynomial, Record, clear_denominators, exact
@@ -151,12 +154,8 @@ def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) 
 
     The series is c_1/x + c_2/x^2 + ... + c_order/x^order: the unique
     one with numerator/denominator minus the series vanishing to order
-    x^(-order-1). Computed by long division that keeps only a remainder
-    of n = deg(denominator) coefficients: each step multiplies the
-    remainder by x, takes its x^n coefficient as the next c_j, and
-    subtracts c_j times the monic denominator, so the terms come out in
-    order. Requires deg(numerator) < deg(denominator) so the expansion
-    starts at 1/x or lower.
+    x^(-order-1). Requires deg(numerator) < deg(denominator) so the
+    expansion starts at 1/x or lower.
 
     The division runs on plain ``int``. Both polynomials are first
     divided by the denominator's leading coefficient. With n =
@@ -167,6 +166,15 @@ def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) 
     quotient series has integer coefficients C_j, and c_j = C_j / s^j.
     :func:`_scale` picks s greedily, then cuts each prime below 100
     that greedy took more than once to the least exponent that works.
+
+    The coefficient of x^(n-j) in N' = Q * (C_1/x + C_2/x^2 + ...), Q
+    being monic, gives
+
+        C_j = N'_(n-j) - sum_(i=1..min(j-1, n)) Q_(n-i) * C_(j-i),
+
+    with N'_m = 0 for m < 0. So every C_j is one read: Q's low
+    coefficients, negated and highest first, times a deque of the
+    newest (up to n) terms, newest first.
     """
     if denominator.is_zero:
         raise ZeroDivisionError("series division by the zero polynomial")
@@ -196,16 +204,16 @@ def scaled_quotient(numerator: Polynomial, denominator: Polynomial, order: int) 
             out.append(c.numerator * factor)
         return out
 
-    low = scaled(den)
-    rem = scaled(num) + [0] * (width - len(num))  # x^i coefficient at i
+    weights = [-q for q in reversed(scaled(den))]  # -Q_(n-1), ..., -Q_0
+    heads = [0] * (width - len(num)) + scaled(num)[::-1]  # N'_(n-1), ..., N'_0
     quotient = []  # C_1, C_2, ...
-    for _ in range(order):
-        # x times the remainder: its x^n coefficient is the next C_j.
-        rem.insert(0, 0)
-        top = rem.pop()
-        quotient.append(top)
-        if top:
-            rem = list(map(sub, rem, map(top.__mul__, low)))
+    recent = deque(maxlen=width)  # the last (up to n) of C_1, C_2, ..., newest first
+    for j in range(order):
+        value = sum(map(mul, weights, recent))
+        if j < width:
+            value += heads[j]
+        quotient.append(value)
+        recent.appendleft(value)
     return quotient, scale
 
 
@@ -264,12 +272,16 @@ def _product(terms: list[int], coeffs: list[int]) -> list[int]:
 
     Entry u collects coeffs[j] * terms[u + j - n] over the j that reach a
     known series term, so the product keeps as many terms as the series.
+    Each entry is one read: the coefficients, highest first, times a
+    deque of the newest (up to n + 1) terms, newest first.
     """
-    n = len(coeffs) - 1
-    return [
-        sum(map(mul, coeffs[max(0, n - u) :], terms[max(0, u - n) : u + 1]))
-        for u in range(len(terms))
-    ]
+    weights = coeffs[::-1]
+    recent = deque(maxlen=len(coeffs))  # terms[u], terms[u-1], ..., terms[u-n]
+    out = []
+    for t in terms:
+        recent.appendleft(t)
+        out.append(sum(map(mul, weights, recent)))
+    return out
 
 
 def multiply_by_polynomial(series: DescendingSeries, poly: Polynomial) -> DescendingSeries:

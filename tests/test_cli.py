@@ -379,6 +379,49 @@ def test_misordered_recurrence_window_exits_three(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+def test_recurrence_window_without_its_oldest_sum_exits_three(capsys, monkeypatch):
+    # A full deque that skips its oldest sum drops the a_n term of every
+    # read past n (p12 = 28180, not 45653). At k == n the deque is not full
+    # yet; the k == n + 1 check compares the first full read with the list's.
+    import collections
+    import itertools
+    import rootsums.newton as newton
+
+    class DropsOldest(collections.deque):
+        def __iter__(self):
+            newest = super().__iter__()
+            return itertools.islice(newest, self.maxlen - 1) if len(self) == self.maxlen else newest
+
+    monkeypatch.setattr(newton, "deque", DropsOldest)
+    code, out, err = run(capsys, "powersums", "--k", "12", "--", "x^3 - 2x^2 + 5x + 1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+def test_misordered_series_window_is_caught(capsys, monkeypatch):
+    # A deque that keeps the newest term last misorders both series loops:
+    # the division and the multiply-back. verify's two series checks and
+    # from-roots' route comparison must each see it.
+    import collections
+    import rootsums.series as series
+
+    class OldestFirst(collections.deque):
+        def appendleft(self, value):
+            self.append(value)
+
+    monkeypatch.setattr(series, "deque", OldestFirst)
+    code, out, _ = run(capsys, "verify", "--json", "--k", "12", "--", "x^3 - 2x^2 + 5x + 1")
+    assert code == 2
+    by_name = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert by_name["recurrence-series agreement"] is False
+    assert by_name["cross-multiplied identity"] is False
+    code, out, err = run(capsys, "from-roots", "--k", "6", "--", "1/2, -3, 5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [
